@@ -37,8 +37,6 @@ from .homotopy import (
     HomotopyDatabase,
     HomotopyResult,
     Validity,
-    fga_direct_sum,
-    fga_power,
     good_locus_homotopy,
     load_database,
     pi_simple,

@@ -18,7 +18,7 @@ from typing import Any, Optional
 from . import bounds, homotopy, localmodel, subalg
 from .errors import CharvarError
 from .groups import FgAbelianGroup, GroupDescriptor, is_ci, parse_group
-from .rootsys import SimpleType, dimension, highest_root, positive_roots
+from .rootsys import SimpleType, dimension, highest_root
 
 
 def fga_to_json(a: FgAbelianGroup) -> dict[str, Any]:
@@ -184,18 +184,19 @@ def _cmd_local_model(args, out) -> None:
 
 def _cmd_roots(args, out) -> None:
     t = SimpleType.parse(args.type)
-    pos = positive_roots(t)
+    dim = dimension(t)
+    npos = (dim - t.rank) // 2
     theta = highest_root(t)
     lines = [
         f"root system {t}",
-        f"  positive roots: {len(pos)}",
-        f"  dimension: {dimension(t)}",
+        f"  positive roots: {npos}",
+        f"  dimension: {dim}",
         f"  highest-root marks: {list(theta)}",
     ]
-    json_obj = {"type": str(t), "positive_roots": len(pos),
-                "dimension": dimension(t), "marks": list(theta)}
+    json_obj = {"type": str(t), "positive_roots": npos,
+                "dimension": dim, "marks": list(theta)}
     _emit(args, lines, json_obj, ("type", "positive_roots", "dimension", "marks"),
-          [(str(t), len(pos), dimension(t), " ".join(map(str, theta)))], out)
+          [(str(t), npos, dim, " ".join(map(str, theta)))], out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

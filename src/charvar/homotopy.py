@@ -20,14 +20,6 @@ from .groups import FgAbelianGroup, GroupDescriptor, Isogeny, center_group
 from .rootsys import SimpleType
 
 
-def fga_direct_sum(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    return a.direct_sum(b)
-
-
-def fga_power(a: FgAbelianGroup, n: int) -> FgAbelianGroup:
-    return a.power(n)
-
-
 @dataclass(frozen=True)
 class HomotopyDatabase:
     """pi_k values of simple groups keyed by (type, isogeny, k).
@@ -61,17 +53,20 @@ def load_database(path) -> HomotopyDatabase:
             raise CharvarError(f"database line {lineno}: expected 5+ fields")
         type_text, iso, k_text, free_text, torsion_text = parts[:5]
         prov = parts[5] if len(parts) > 5 else ""
-        t = SimpleType.parse(type_text)
         if iso not in ("sc", "ad", "any"):
             raise CharvarError(f"database line {lineno}: bad isogeny {iso!r}")
-        k = int(k_text)
+        try:
+            t = SimpleType.parse(type_text)
+            k = int(k_text)
+            if free_text == "?":
+                group = FgAbelianGroup.unknown()
+            else:
+                torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
+                group = FgAbelianGroup.from_torsion(torsion, free_rank=int(free_text))
+        except (ValueError, CharvarError) as exc:
+            raise CharvarError(f"database line {lineno}: {exc}") from None
         if k < 2:
             raise CharvarError(f"database line {lineno}: k < 2 entries are computed, not stored")
-        if free_text == "?":
-            group = FgAbelianGroup.unknown()
-        else:
-            torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
-            group = FgAbelianGroup.from_torsion(torsion, free_rank=int(free_text))
         if k == 2 and group.known and not group.is_trivial():
             raise CharvarError(f"database line {lineno}: pi_2 of a simple group is trivial")
         if k == 3 and group.known and group != FgAbelianGroup.free(1):

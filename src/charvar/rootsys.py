@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import CharvarError
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4}
 _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+_EXCEPTIONAL_DIMENSIONS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
+_EXCEPTIONAL_MARKS = {
+    ("E", 6): (1, 2, 2, 3, 2, 1),
+    ("E", 7): (2, 2, 3, 4, 3, 2, 1),
+    ("E", 8): (2, 3, 4, 6, 5, 4, 3, 2),
+    ("F", 4): (2, 3, 4, 2),
+    ("G", 2): (3, 2),
+}
 
 # Low-rank coincidences.  These labels are rejected at construction; the
 # value names the canonical isomorphic type.
@@ -183,16 +190,34 @@ def positive_roots(t: SimpleType) -> frozenset[tuple[int, ...]]:
 
 
 def dimension(t: SimpleType) -> int:
-    """dim of the simple Lie algebra: rank + number of roots."""
-    return t.rank + 2 * len(positive_roots(t))
+    """dim of the simple Lie algebra, in closed form (Bourbaki, Lie Groups
+    ch. VI, plates I-IX); equal to rank + 2 * len(positive_roots(t))."""
+    n = t.rank
+    if t.family == "A":
+        return n * (n + 2)
+    if t.family in "BC":
+        return n * (2 * n + 1)
+    if t.family == "D":
+        return n * (2 * n - 1)
+    return _EXCEPTIONAL_DIMENSIONS[t.family, n]
 
 
-@functools.cache
 def highest_root(t: SimpleType) -> tuple[int, ...]:
-    """The unique positive root dominating all others coordinatewise."""
-    best = max(positive_roots(t), key=sum)
-    assert all(all(b >= c for b, c in zip(best, root)) for root in positive_roots(t))
-    return best
+    """The unique positive root dominating all others coordinatewise.
+
+    Read off the known marks in this module's node numbering (Bourbaki,
+    Lie Groups ch. VI, plates I-IX; Humphreys section 12.2).
+    """
+    n = t.rank
+    if t.family == "A":
+        return (1,) * n
+    if t.family == "B":
+        return (1,) + (2,) * (n - 1)
+    if t.family == "C":
+        return (2,) * (n - 1) + (1,)
+    if t.family == "D":
+        return (1,) + (2,) * (n - 3) + (1, 1)
+    return _EXCEPTIONAL_MARKS[t.family, n]
 
 
 def marks(t: SimpleType) -> dict[int, int]:
@@ -200,14 +225,18 @@ def marks(t: SimpleType) -> dict[int, int]:
     return {i + 1: c for i, c in enumerate(highest_root(t))}
 
 
-def _norms_squared(t: SimpleType) -> dict[int, Fraction]:
-    """Relative squared root lengths per node (normalization arbitrary)."""
+def _norms_squared(t: SimpleType) -> dict[int, int]:
+    """Relative squared root lengths per node, as integers.
+
+    Node 1 is given the largest bond multiplicity, so stepping from a long
+    node to a short one divides exactly whichever length node 1 has.
+    """
     d = diagram_of(t)
     adj: dict[int, list[DynkinEdge]] = {n: [] for n in d.nodes}
     for e in d.edges:
         adj[e.i].append(e)
         adj[e.j].append(e)
-    norms: dict[int, Fraction] = {1: Fraction(1)}
+    norms = {1: max((e.multiplicity for e in d.edges), default=1)}
     frontier = [1]
     while frontier:
         n = frontier.pop()
@@ -220,7 +249,7 @@ def _norms_squared(t: SimpleType) -> dict[int, Fraction]:
             elif e.short == n:
                 norms[m] = norms[n] * e.multiplicity
             else:
-                norms[m] = norms[n] / e.multiplicity
+                norms[m] = norms[n] // e.multiplicity
             frontier.append(m)
     return norms
 
@@ -238,9 +267,8 @@ def extended_diagram(t: SimpleType) -> DynkinDiagram:
         p = sum(theta[i] * cartan[i][j] for i in range(r))  # <theta, a_j^v>
         if p == 0:
             continue
-        q_frac = p * norms[j + 1] / theta_norm  # <a_j, theta^v>
-        assert q_frac.denominator == 1
-        q = int(q_frac)
+        q, rem = divmod(p * norms[j + 1], theta_norm)  # <a_j, theta^v>
+        assert rem == 0
         mult = max(p, q)
         short = j + 1 if norms[j + 1] < theta_norm else None
         edges.append(DynkinEdge(0, j + 1, mult, short=short))
@@ -249,40 +277,57 @@ def extended_diagram(t: SimpleType) -> DynkinDiagram:
     return DynkinDiagram((0,) + base.nodes, tuple(edges), node_marks)
 
 
-def _component_nodes(d: DynkinDiagram) -> list[list[int]]:
-    adj: dict[int, set[int]] = {n: set() for n in d.nodes}
+def _components(
+    d: DynkinDiagram,
+) -> tuple[dict[int, list[int]], list[tuple[list[int], list[DynkinEdge]]]]:
+    """The diagram's neighbour lists, and its connected components as
+    (sorted nodes, edges) pairs."""
+    adj: dict[int, list[int]] = {n: [] for n in d.nodes}
     for e in d.edges:
-        adj[e.i].add(e.j)
-        adj[e.j].add(e.i)
-    seen: set[int] = set()
-    comps = []
+        adj[e.i].append(e.j)
+        adj[e.j].append(e.i)
+    comp_of: dict[int, int] = {}
+    comps: list[list[int]] = []
     for n in d.nodes:
-        if n in seen:
+        if n in comp_of:
             continue
+        comp_of[n] = len(comps)
         comp = []
         stack = [n]
-        seen.add(n)
         while stack:
             v = stack.pop()
             comp.append(v)
             for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in comp_of:
+                    comp_of[w] = len(comps)
                     stack.append(w)
         comps.append(sorted(comp))
-    return comps
+    comp_edges: list[list[DynkinEdge]] = [[] for _ in comps]
+    for e in d.edges:
+        comp_edges[comp_of[e.i]].append(e)
+    return adj, list(zip(comps, comp_edges))
 
 
-def _classify_component(nodes: list[int], edges: list[DynkinEdge]) -> SimpleType:
+def _arm_length(adj: dict[int, list[int]], prev: int, cur: int) -> int:
+    """Nodes on the path that leaves ``prev`` through ``cur``, ``cur`` included."""
+    length = 1
+    while True:
+        nxt = [w for w in adj[cur] if w != prev]
+        if not nxt:
+            return length
+        prev, cur = cur, nxt[0]
+        length += 1
+
+
+def _classify_component(
+    nodes: list[int], edges: list[DynkinEdge], adj: dict[int, list[int]]
+) -> SimpleType:
     n = len(nodes)
     if any(e.multiplicity >= 2 and e.short is None for e in edges):
         raise CharvarError(f"component {nodes} is not of finite type")
     if len(edges) != n - 1:
         raise CharvarError(f"component {nodes} contains a cycle (affine shape)")
-    degree = {v: 0 for v in nodes}
-    for e in edges:
-        degree[e.i] += 1
-        degree[e.j] += 1
+    degree = {v: len(adj[v]) for v in nodes}
 
     triples = [e for e in edges if e.multiplicity == 3]
     doubles = [e for e in edges if e.multiplicity == 2]
@@ -303,22 +348,13 @@ def _classify_component(nodes: list[int], edges: list[DynkinEdge]) -> SimpleType
         # split the path at the double bond and measure the two sides
         e = doubles[0]
         long_end = e.other(e.short)
-        sides = {}
-        for start in (e.short, long_end):
-            count, prev, cur = 1, e.other(start), start
-            while True:
-                nbrs = [x.other(cur) for x in edges if cur in (x.i, x.j)]
-                nxt = [w for w in nbrs if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                count += 1
-            sides[start] = count
-        if sides[e.short] == 1:
+        short_side = _arm_length(adj, long_end, e.short)
+        long_side = _arm_length(adj, e.short, long_end)
+        if short_side == 1:
             return SimpleType("B", n)
-        if sides[long_end] == 1:
+        if long_side == 1:
             return SimpleType("C", n)
-        if sides[e.short] == 2 and sides[long_end] == 2:
+        if short_side == 2 and long_side == 2:
             return SimpleType("F", 4)
         raise CharvarError(f"component {nodes} is not of finite type")
 
@@ -329,18 +365,7 @@ def _classify_component(nodes: list[int], edges: list[DynkinEdge]) -> SimpleType
     if len(branches) != 1 or degree[branches[0]] != 3:
         raise CharvarError(f"component {nodes} is not of finite type")
     b = branches[0]
-    arms = []
-    for e in (x for x in edges if b in (x.i, x.j)):
-        length, prev, cur = 1, b, e.other(b)
-        while True:
-            nbrs = [x.other(cur) for x in edges if cur in (x.i, x.j)]
-            nxt = [w for w in nbrs if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
+    arms = sorted(_arm_length(adj, b, w) for w in adj[b])
     if arms[0] == 1 and arms[1] == 1:
         return SimpleType("D", n)
     if arms == [1, 2, 2]:
@@ -359,12 +384,8 @@ def classify_diagram(d: DynkinDiagram) -> list[SimpleType]:
     so deletions from extended diagrams (which produce such shapes) come
     back under their canonical names.
     """
-    result = []
-    for comp in _component_nodes(d):
-        comp_set = set(comp)
-        comp_edges = [e for e in d.edges if e.i in comp_set and e.j in comp_set]
-        result.append(_classify_component(comp, comp_edges))
-    return sorted(result)
+    adj, comps = _components(d)
+    return sorted(_classify_component(nodes, edges, adj) for nodes, edges in comps)
 
 
 def all_roots(t: SimpleType) -> frozenset[tuple[int, ...]]:

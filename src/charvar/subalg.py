@@ -20,7 +20,6 @@ from .rootsys import (
     extended_diagram,
     highest_root,
 )
-from .snf import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,9 @@ def min_bds_codim(t: SimpleType) -> int | None:
 def lattice_index(t: SimpleType, k: int) -> FgAbelianGroup:
     """The quotient of the root lattice by the deleted-node subsystem lattice.
 
-    Rows of the quotient matrix are the surviving simple roots plus the
-    lowest root, all in simple-root coordinates; the quotient is computed
-    by Smith normal form and its order equals the mark of node k.
+    The subsystem lattice is spanned by the surviving simple roots and the
+    lowest root -theta.  Modulo the simple roots e_j (j != k), theta reduces
+    to theta_k * e_k, so the quotient is cyclic of order the mark theta_k.
     """
     if not 1 <= k <= t.rank:
         raise CharvarError(f"node {k} out of range for {t}")
@@ -97,12 +96,4 @@ def lattice_index(t: SimpleType, k: int) -> FgAbelianGroup:
         raise CharvarError(
             f"node {k} of {t} has mark {theta[k - 1]}; the subsystem lattice is full"
         )
-    rows = []
-    for j in range(1, t.rank + 1):
-        if j != k:
-            rows.append([int(i == j - 1) for i in range(t.rank)])
-    rows.append([-c for c in theta])
-    diag = smith_normal_form(rows)
-    if 0 in diag:
-        raise CharvarError("subsystem lattice is not of full rank")
-    return FgAbelianGroup.from_torsion([d for d in diag if d > 1])
+    return FgAbelianGroup.cyclic(theta[k - 1])

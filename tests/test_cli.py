@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -129,6 +130,16 @@ class TestQueries:
         assert obj["positive_roots"] == 120 and obj["dimension"] == 248
         assert obj["marks"] == [2, 3, 4, 6, 5, 4, 3, 2]
 
+    def test_roots_large_rank_without_enumeration(self):
+        t0 = time.perf_counter()
+        code, out, _ = invoke("roots", "A2000", "--format", "json")
+        elapsed = time.perf_counter() - t0
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["positive_roots"] == 2001000 and obj["dimension"] == 4004000
+        assert obj["marks"] == [1] * 2000
+        assert elapsed < 1.0, f"roots A2000 took {elapsed:.2f}s"
+
 
 def override_db(path, torsion):
     # an override replaces the default database wholly, so k - 1 must be
@@ -172,6 +183,13 @@ class TestExitCodes:
             code, out, err = invoke(*argv)
             assert code == 1, argv
             assert err.startswith("error:") and not out
+
+    def test_malformed_database_line_exit_1(self, tmp_path):
+        db = tmp_path / "pi.txt"
+        db.write_text("G2 any 6 x 3 prov\n")
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        assert code == 1 and not out
+        assert err.startswith("error: database line 1: ")
 
     def test_usage_errors_exit_2(self):
         for argv in [(), ("frobnicate",), ("codim", "A2"),

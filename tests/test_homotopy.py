@@ -154,8 +154,21 @@ class TestExceptionalDatabase:
         for text in cases:
             path = tmp_path / "bad.txt"
             path.write_text(text + "\n")
-            with pytest.raises((CharvarError, ValueError)):
+            with pytest.raises(CharvarError):
                 load_database(path)
+
+    @pytest.mark.parametrize("text", [
+        "E6 any x 0 - non-integer degree",
+        "E6 any 6 one - non-integer free rank",
+        "E6 any 6 0 3,b non-integer torsion",
+        "E6 any 6 0 0 zero torsion modulus",
+        "Q6 any 6 0 - unknown type",
+    ])
+    def test_malformed_numbers_name_the_line(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n" + text + "\n")
+        with pytest.raises(CharvarError, match=r"^database line 2: "):
+            load_database(path)
 
 
 class TestGoodLocus:

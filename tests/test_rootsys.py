@@ -151,6 +151,34 @@ class TestRoots:
             assert sum(highest_root(T(name))) == h - 1
 
 
+# Every type up to rank 20; the closed forms are checked against enumeration.
+ORACLE_TYPES = (
+    [SimpleType(f, r) for f, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+     for r in range(low, 21)]
+    + [T(n) for n in ("E6", "E7", "E8", "F4", "G2")]
+)
+
+
+def coxeter_number(t):
+    fixed = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
+    if str(t) in fixed:
+        return fixed[str(t)]
+    return {"A": t.rank + 1, "B": 2 * t.rank, "C": 2 * t.rank, "D": 2 * t.rank - 2}[t.family]
+
+
+class TestClosedFormsAgainstEnumeration:
+    @pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
+    def test_closed_forms(self, t):
+        pos = positive_roots(t)
+        h = coxeter_number(t)
+        assert dimension(t) == t.rank + 2 * len(pos)
+        assert 2 * len(pos) == t.rank * h
+        theta = highest_root(t)
+        assert theta in pos
+        assert all(all(a >= b for a, b in zip(theta, root)) for root in pos)
+        assert sum(theta) == h - 1
+
+
 class TestClassify:
     @given(any_type)
     def test_roundtrip(self, t):

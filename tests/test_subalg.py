@@ -12,6 +12,7 @@ from charvar import (
     positive_roots,
 )
 from charvar.rootsys import marks
+from charvar.snf import smith_normal_form
 
 import golden_tables as g
 from golden_tables import T, types
@@ -127,6 +128,22 @@ class TestLatticeIndex:
         assert lattice_index(T("E8"), 5) == FgAbelianGroup.cyclic(5)
         assert lattice_index(T("E8"), 4) == FgAbelianGroup.cyclic(6)
         assert lattice_index(T("F4"), 3) == FgAbelianGroup.cyclic(4)
+
+    def test_matches_smith_normal_form(self):
+        # Z^r modulo the surviving simple roots and the lowest root, with
+        # theta taken from the enumerated roots
+        for t in g.ALL_TYPES:
+            theta = max(positive_roots(t), key=sum)
+            for k in range(1, t.rank + 1):
+                if theta[k - 1] < 2:
+                    continue
+                rows = [[int(i == j) for i in range(t.rank)]
+                        for j in range(t.rank) if j != k - 1]
+                rows.append([-c for c in theta])
+                diag = smith_normal_form(rows)
+                assert 0 not in diag
+                want = FgAbelianGroup.from_torsion([d for d in diag if d > 1])
+                assert lattice_index(t, k) == want, (t, k)
 
     def test_order_equals_mark_everywhere(self):
         for t in g.ALL_TYPES:
