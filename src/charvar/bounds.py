@@ -82,6 +82,8 @@ class SingularLocusReport:
 
 def classify_singular_locus(g: GroupDescriptor, r: int) -> SingularLocusReport:
     """Decide how much of the singular locus is classified for (g, r)."""
+    if r < 1:
+        raise CharvarError("the singular-locus classification requires free-group rank r >= 1")
     if g.is_abelian:
         return SingularLocusReport(
             Verdict.ABELIAN,
@@ -90,7 +92,7 @@ def classify_singular_locus(g: GroupDescriptor, r: int) -> SingularLocusReport:
                 "every representation class is a smooth point",
             ),
         )
-    if r <= 1:
+    if r == 1:
         return SingularLocusReport(
             Verdict.RANK_ONE_FREE_GROUP,
             (

@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Subcommands emit the classification tables and answer per-group queries
-in text, JSON, or CSV.  Exit codes: 0 success, 1 domain error, 2 usage
-error.
+Each subcommand computes one record (the classification tables or a
+per-group answer) and a text layout; `_emit` writes the text, the record
+as JSON, or its listed columns as CSV.  Exit codes: 0 success, 1 domain
+error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from . import bounds, homotopy, localmodel, subalg
 from .errors import CharvarError
-from .groups import FgAbelianGroup, GroupDescriptor, is_ci, parse_group
+from .groups import FgAbelianGroup, is_ci, parse_group
 from .rootsys import SimpleType, dimension, highest_root
 
 
@@ -29,16 +29,41 @@ def fga_to_json(a: FgAbelianGroup) -> dict[str, Any]:
     }
 
 
-def fga_from_json(obj: dict[str, Any]) -> FgAbelianGroup:
-    return FgAbelianGroup(
-        free_rank=obj["free_rank"],
-        invariant_factors=tuple(obj["torsion"]),
-        known=obj["known"],
-    )
+def _json(value):
+    """The JSON form of a record: groups as objects, types as labels."""
+    if isinstance(value, FgAbelianGroup):
+        return fga_to_json(value)
+    if isinstance(value, SimpleType):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value
 
 
-def _type_list(types) -> str:
-    return "+".join(str(t) for t in types) if types else "0"
+def _cell(value):
+    """One CSV cell, also used for the text tables' type lists.  csv writes
+    scalars (groups included) with str."""
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(v, SimpleType) for v in value):
+            return "+".join(map(str, value)) or "0"
+        return ("; " if isinstance(value[0], str) else " ").join(map(str, value))
+    return value
+
+
+def _emit(fmt, lines, record, columns, out) -> None:
+    """Render one command: the text layout, the record as JSON, or the
+    listed columns as CSV with one row per table row."""
+    if fmt == "json":
+        json.dump(_json(record), out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in record.get("rows", [record]))
+    else:
+        out.write("\n".join(lines) + "\n")
 
 
 def _database(args) -> Optional[homotopy.HomotopyDatabase]:
@@ -46,64 +71,42 @@ def _database(args) -> Optional[homotopy.HomotopyDatabase]:
     return homotopy.load_database(path) if path else None
 
 
-def _emit(args, text_lines, json_obj, csv_header, csv_rows, out) -> None:
-    if args.format == "json":
-        json.dump(json_obj, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-    else:
-        out.write("\n".join(text_lines) + "\n")
-
-
-def _cmd_table_levi(args, out) -> None:
+def _cmd_table_levi(args):
     t = SimpleType.parse(args.type)
-    table = subalg.levi_table(t)
-    lines = [f"Levi subalgebras of maximal parabolics of {t} (dim {dimension(t)})"]
-    lines += [f"  k={rec.node}  [{_type_list(rec.derived_type)}]  codim {rec.codim}" for rec in table]
-    lines.append(f"  min codim: {subalg.min_levi_codim(t)}")
-    json_obj = {
-        "type": str(t),
-        "rows": [
-            {"k": rec.node, "derived_type": [str(c) for c in rec.derived_type],
+    rows = [{"k": rec.node, "derived_type": rec.derived_type,
              "levi_dim": rec.levi_dim, "codim": rec.codim}
-            for rec in table
-        ],
-        "min_codim": subalg.min_levi_codim(t),
-    }
-    rows = [(rec.node, _type_list(rec.derived_type), rec.codim) for rec in table]
-    _emit(args, lines, json_obj, ("k", "derived_type", "codim"), rows, out)
+            for rec in subalg.levi_table(t)]
+    record = {"type": t, "rows": rows, "min_codim": min(row["codim"] for row in rows)}
+    lines = [f"Levi subalgebras of maximal parabolics of {t} (dim {dimension(t)})"]
+    lines += [f"  k={row['k']}  [{_cell(row['derived_type'])}]  codim {row['codim']}"
+              for row in rows]
+    lines.append(f"  min codim: {record['min_codim']}")
+    return lines, record, ("k", "derived_type", "codim")
 
 
-def _cmd_table_bds(args, out) -> None:
+def _cmd_table_bds(args):
     t = SimpleType.parse(args.type)
-    table = subalg.bds_table(t)
+    rows = [{"k": rec.node, "mark": rec.mark, "bds_type": rec.bds_type,
+             "codim": rec.codim, "index_group": rec.index_group}
+            for rec in subalg.bds_table(t)]
+    mmin = min((row["codim"] for row in rows), default=None)
+    record = {"type": t, "rows": rows, "min_codim": mmin}
     lines = [f"Maximal Borel-de Siebenthal subalgebras of {t}"]
-    lines += [
-        f"  k={rec.node}  mark {rec.mark}  [{_type_list(rec.bds_type)}]"
-        f"  codim {rec.codim}  index {rec.index_group}"
-        for rec in table
-    ]
-    mmin = subalg.min_bds_codim(t)
+    lines += [f"  k={row['k']}  mark {row['mark']}  [{_cell(row['bds_type'])}]"
+              f"  codim {row['codim']}  index {row['index_group']}"
+              for row in rows]
     lines.append("  (none: all marks are 1)" if mmin is None else f"  min codim: {mmin}")
-    json_obj = {
-        "type": str(t),
-        "rows": [
-            {"k": rec.node, "mark": rec.mark, "bds_type": [str(c) for c in rec.bds_type],
-             "codim": rec.codim, "index_group": fga_to_json(rec.index_group)}
-            for rec in table
-        ],
-        "min_codim": mmin,
-    }
-    rows = [(rec.node, _type_list(rec.bds_type), rec.codim) for rec in table]
-    _emit(args, lines, json_obj, ("k", "bds_type", "codim"), rows, out)
+    return lines, record, ("k", "bds_type", "codim")
 
 
-def _cmd_codim(args, out) -> None:
+def _cmd_codim(args):
     g = parse_group(args.group)
     rep = bounds.codim_report(g, args.free_rank)
+    record = {
+        "group": str(g), "r": rep.r, "lower_bound": True,
+        "bad_lower": rep.bad_lower, "red_lower": rep.red_lower,
+        "c_pasbon_lower": rep.c_pasbon_lower, "stable_k_max": rep.stable_k_max,
+    }
     lines = [
         f"codimension bounds for {g}, r={rep.r}",
         f"  bad locus:       codim >= {rep.bad_lower}",
@@ -111,92 +114,72 @@ def _cmd_codim(args, out) -> None:
         f"  non-good locus:  real codim >= {rep.c_pasbon_lower}",
         f"  stable range:    k <= {rep.stable_k_max}",
     ]
-    json_obj = {
-        "group": str(g), "r": rep.r, "lower_bound": True,
-        "bad_lower": rep.bad_lower, "red_lower": rep.red_lower,
-        "c_pasbon_lower": rep.c_pasbon_lower, "stable_k_max": rep.stable_k_max,
-    }
-    rows = [(str(g), rep.r, rep.bad_lower, rep.red_lower, rep.c_pasbon_lower, rep.stable_k_max)]
-    _emit(args, lines, json_obj,
-          ("group", "r", "bad_lower", "red_lower", "c_pasbon_lower", "stable_k_max"), rows, out)
+    return lines, record, ("group", "r", "bad_lower", "red_lower", "c_pasbon_lower", "stable_k_max")
 
 
-def _cmd_homotopy(args, out) -> None:
+def _cmd_homotopy(args):
     g = parse_group(args.group)
     res = homotopy.good_locus_homotopy(g, args.free_rank, args.degree, _database(args))
+    record = {"group": str(g), "r": args.free_rank, "k": args.degree, "value": res.value,
+              "validity": res.validity.value, "formula_trace": res.formula_trace}
     lines = [
         f"pi_{args.degree} of the good locus for {g}, r={args.free_rank}",
         f"  value:    {res.value}",
         f"  validity: {res.validity.value}",
         f"  formula:  {res.formula_trace}",
     ]
-    json_obj = {
-        "group": str(g), "r": args.free_rank, "k": args.degree,
-        "value": fga_to_json(res.value), "validity": res.validity.value,
-        "formula_trace": res.formula_trace,
-    }
-    rows = [(str(g), args.free_rank, args.degree, str(res.value), res.validity.value)]
-    _emit(args, lines, json_obj, ("group", "r", "k", "value", "validity"), rows, out)
+    return lines, record, ("group", "r", "k", "value", "validity")
 
 
-def _cmd_ci(args, out) -> None:
+def _cmd_ci(args):
     g = parse_group(args.group)
     verdict, witness = is_ci(g)
     lines = [f"CI({g}): {'true' if verdict else 'false'}", f"  {witness}"]
-    json_obj = {"group": str(g), "ci": verdict, "witness": witness}
-    _emit(args, lines, json_obj, ("group", "ci", "witness"),
-          [(str(g), verdict, witness)], out)
+    return lines, {"group": str(g), "ci": verdict, "witness": witness}, ("group", "ci", "witness")
 
 
-def _cmd_singular_locus(args, out) -> None:
+def _cmd_singular_locus(args):
     g = parse_group(args.group)
     rep = bounds.classify_singular_locus(g, args.free_rank)
+    record = {"group": str(g), "r": args.free_rank,
+              "verdict": rep.verdict.value, "statements": rep.statements}
     lines = [f"singular locus of the rank-{args.free_rank} character variety of {g}",
              f"  verdict: {rep.verdict.value}"]
     lines += [f"  - {s}" for s in rep.statements]
-    json_obj = {"group": str(g), "r": args.free_rank,
-                "verdict": rep.verdict.value, "statements": list(rep.statements)}
-    _emit(args, lines, json_obj, ("group", "r", "verdict", "statements"),
-          [(str(g), args.free_rank, rep.verdict.value, "; ".join(rep.statements))], out)
+    return lines, record, ("group", "r", "verdict", "statements")
 
 
-def _cmd_local_model(args, out) -> None:
+def _cmd_local_model(args):
     t = SimpleType.parse(args.type)
     w = localmodel.parabolic_weights(t, args.node, args.free_rank)
     singular = localmodel.is_topologically_singular(w)
     m = w.positive_weight_total() - 1
-    support = localmodel.homology_support(m)
+    support = sorted(localmodel.homology_support(m).dims)
+    sphere_like = localmodel.is_sphere_like(m)
+    weights = {n: w.d[n] for n in sorted(w.d)}
+    record = {"type": t, "node": args.node, "r": args.free_rank, "weights": weights,
+              "singular": singular, "M": m, "homology_support": support,
+              "sphere_like": sphere_like}
     lines = [f"local model for {t}, node {args.node}, r={args.free_rank}"]
-    lines += [f"  d_{n} = {w.d[n]}" for n in sorted(w.d)]
+    lines += [f"  d_{n} = {d}" for n, d in weights.items()]
     lines.append(f"  topological singularity: {'yes' if singular else 'no'}")
-    lines.append(f"  M = {m}; link homology support {sorted(support.dims)}"
-                 f"; sphere-like: {'yes' if localmodel.is_sphere_like(m) else 'no'}")
-    json_obj = {
-        "type": str(t), "node": args.node, "r": args.free_rank,
-        "weights": {str(n): w.d[n] for n in sorted(w.d)},
-        "singular": singular, "M": m,
-        "homology_support": sorted(support.dims),
-        "sphere_like": localmodel.is_sphere_like(m),
-    }
-    rows = [(str(t), args.node, args.free_rank, singular, m)]
-    _emit(args, lines, json_obj, ("type", "node", "r", "singular", "M"), rows, out)
+    lines.append(f"  M = {m}; link homology support {support}"
+                 f"; sphere-like: {'yes' if sphere_like else 'no'}")
+    return lines, record, ("type", "node", "r", "singular", "M")
 
 
-def _cmd_roots(args, out) -> None:
+def _cmd_roots(args):
     t = SimpleType.parse(args.type)
     dim = dimension(t)
-    npos = (dim - t.rank) // 2
-    theta = highest_root(t)
+    record = {"type": t, "positive_roots": (dim - t.rank) // 2,
+              "dimension": dim, "marks": highest_root(t)}
     lines = [
         f"root system {t}",
-        f"  positive roots: {npos}",
+        f"  positive roots: {record['positive_roots']}",
         f"  dimension: {dim}",
-        f"  highest-root marks: {list(theta)}",
+        f"  highest-root marks: {list(record['marks'])}",
     ]
-    json_obj = {"type": str(t), "positive_roots": npos,
-                "dimension": dim, "marks": list(theta)}
-    _emit(args, lines, json_obj, ("type", "positive_roots", "dimension", "marks"),
-          [(str(t), npos, dim, " ".join(map(str, theta)))], out)
+    return lines, record, ("type", "positive_roots", "dimension", "marks")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,11 +227,8 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args, out)
-    except CharvarError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except OSError as exc:
+        _emit(args.format, *args.func(args), out)
+    except (CharvarError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
     return 0

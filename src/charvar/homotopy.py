@@ -42,8 +42,11 @@ def load_database(path) -> HomotopyDatabase:
     """Parse the flat-text format `type iso k free_rank torsion_csv provenance`."""
     entries: dict[tuple[SimpleType, str, int], FgAbelianGroup] = {}
     provenance: dict[tuple[SimpleType, str, int], str] = {}
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CharvarError(f"database {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

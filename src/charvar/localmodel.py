@@ -66,5 +66,8 @@ def homology_support(M: int) -> HomologySupport:
 
 
 def is_sphere_like(M: int) -> bool:
-    """Whether the link has the rational homology of a sphere (only M = 0)."""
-    return len(homology_support(M).dims) == 2
+    """Whether the link has the rational homology of a sphere: its support
+    has 2M + 2 degrees, so only M = 0 gives two."""
+    if M < 0:
+        raise CharvarError("M must be nonnegative")
+    return M == 0

@@ -81,6 +81,11 @@ class TestSingularLocus:
         rep = classify_singular_locus(parse_group("E8"), 1)
         assert rep.verdict is Verdict.RANK_ONE_FREE_GROUP
 
+    def test_r_below_one_rejected(self):
+        for text, r in [("E8", 0), ("E8", -5), ("T^1", -5), ("T^2 x A1[ad]", 0)]:
+            with pytest.raises(CharvarError, match="r >= 1"):
+                classify_singular_locus(parse_group(text), r)
+
     def test_full_classification(self):
         for text, r in [("E8", 2), ("A1", 3), ("A1[ad] x A1", 5), ("B2", 2)]:
             rep = classify_singular_locus(parse_group(text), r)

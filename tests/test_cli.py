@@ -1,17 +1,41 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
-from charvar import FgAbelianGroup
-from charvar.cli import fga_from_json, fga_to_json, run
+from charvar import FgAbelianGroup, localmodel, subalg
+from charvar.cli import fga_to_json, run
 
 import golden_tables as g
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# Byte-exact transcripts in tests/data/cli/<name>.<ext>, one per format.  They
+# pin every subcommand's output; rewrite them only for an intended change.
+FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
+TRANSCRIPTS = {
+    "table-levi_A1": ("table-levi", "A1"),
+    "table-levi_E7": ("table-levi", "E7"),
+    "table-bds_A5": ("table-bds", "A5"),
+    "table-bds_G2": ("table-bds", "G2"),
+    "table-bds_E8": ("table-bds", "E8"),
+    "roots_E8": ("roots", "E8"),
+    "codim_T1xA3sc_r3": ("codim", "T^1 x A3[sc]", "-r", "3"),
+    "homotopy_E7ad_r2_k1": ("homotopy", "E7[ad]", "-r", "2", "-k", "1"),
+    "homotopy_E6_r2_k10": ("homotopy", "E6", "-r", "2", "-k", "10"),
+    "ci_T1xA2sc": ("ci", "T^1 x A2[sc]"),
+    "ci_B3": ("ci", "B3"),
+    "singular-locus_A1_r2": ("singular-locus", "A1", "-r", "2"),
+    "singular-locus_E8_r1": ("singular-locus", "E8", "-r", "1"),
+    "local-model_G2_i1_r3": ("local-model", "G2", "-i", "1", "-r", "3"),
+    "local-model_A1_i1_r2": ("local-model", "A1", "-i", "1", "-r", "2"),
+}
 
 
 def invoke(*argv):
@@ -20,19 +44,32 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def normalized(text):
-    return [" ".join(line.split()) for line in text.splitlines() if line.strip()]
-
-
 class TestJsonSchema:
-    def test_roundtrip(self):
-        for a in [FgAbelianGroup.trivial(), FgAbelianGroup.unknown(),
-                  FgAbelianGroup(free_rank=2, invariant_factors=(2, 6))]:
-            assert fga_from_json(json.loads(json.dumps(fga_to_json(a)))) == a
-
     def test_keys(self):
         obj = fga_to_json(FgAbelianGroup.cyclic(4))
         assert obj == {"free_rank": 0, "torsion": [4], "known": True}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_transcript(name, fmt):
+    code, out, err = invoke(*TRANSCRIPTS[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("module, name, argv", [
+        (subalg, "levi_table", ("table-levi", "E8")),
+        (subalg, "bds_table", ("table-bds", "E8")),
+        (localmodel, "homology_support", ("local-model", "G2", "-i", "1", "-r", "3")),
+    ])
+    def test_one_call_per_invocation(self, monkeypatch, module, name, argv):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+        assert invoke(*argv)[0] == 0
+        assert len(calls) == 1
 
 
 class TestTables:
@@ -40,15 +77,13 @@ class TestTables:
     def test_levi_text_transcript(self, name):
         code, out, _ = invoke("table-levi", name)
         assert code == 0
-        want = (DATA / f"table_levi_{name}.txt").read_text()
-        assert normalized(out) == normalized(want)
+        assert out == (DATA / f"table_levi_{name}.txt").read_text()
 
     @pytest.mark.parametrize("name", g.ALL_EXCEPTIONAL)
     def test_bds_text_transcript(self, name):
         code, out, _ = invoke("table-bds", name)
         assert code == 0
-        want = (DATA / f"table_bds_{name}.txt").read_text()
-        assert normalized(out) == normalized(want)
+        assert out == (DATA / f"table_bds_{name}.txt").read_text()
 
     def test_levi_json(self):
         code, out, _ = invoke("table-levi", "E7", "--format", "json")
@@ -179,6 +214,7 @@ class TestExitCodes:
                      ("codim", "A2 y B3", "-r", "2"),
                      ("codim", "A2", "-r", "1"),
                      ("local-model", "A2", "-i", "5", "-r", "2"),
+                     ("singular-locus", "E8", "-r", "0"),
                      ("homotopy", "E6", "-r", "2", "-k", "5", "--db", "/nonexistent")]:
             code, out, err = invoke(*argv)
             assert code == 1, argv
@@ -191,6 +227,13 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: database line 1: ")
 
+    def test_database_not_utf8_exit_1(self, tmp_path):
+        db = tmp_path / "pi.txt"
+        db.write_bytes(b"G2 any 6 0 3 \xff\n")
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        assert code == 1 and not out
+        assert err.startswith("error: database ")
+
     def test_usage_errors_exit_2(self):
         for argv in [(), ("frobnicate",), ("codim", "A2"),
                      ("homotopy", "E6", "-r", "2", "-k", "x"),
@@ -200,3 +243,24 @@ class TestExitCodes:
 
     def test_success_exit_0(self):
         assert invoke("roots", "A1")[0] == 0
+
+
+class TestEntryPoint:
+    """`python -m charvar.cli` runs `main()` in a fresh interpreter."""
+
+    def charvar(self, *argv):
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("CHARVAR_DB", None)
+        return subprocess.run([sys.executable, "-m", "charvar.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_success_matches_run(self):
+        proc = self.charvar("roots", "E8", "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stdout == invoke("roots", "E8", "--format", "json")[1]
+
+    def test_domain_error(self):
+        proc = self.charvar("table-levi", "B1")
+        assert proc.returncode == 1 and not proc.stdout
+        assert proc.stderr.startswith("error:")

@@ -170,6 +170,12 @@ class TestExceptionalDatabase:
         with pytest.raises(CharvarError, match=r"^database line 2: "):
             load_database(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"E6 any 6 0 - caf\xff\n")
+        with pytest.raises(CharvarError, match=r"^database .*bad\.txt: "):
+            load_database(path)
+
 
 class TestGoodLocus:
     def test_requires_r_ge_2(self):

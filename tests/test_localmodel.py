@@ -109,7 +109,10 @@ class TestHomologySupport:
     def test_sphere_like(self):
         assert is_sphere_like(0)
         assert not any(is_sphere_like(M) for M in range(1, 10))
+        assert all(is_sphere_like(M) == (len(homology_support(M).dims) == 2)
+                   for M in range(60))
 
     def test_negative_rejected(self):
-        with pytest.raises(CharvarError):
-            homology_support(-1)
+        for f in (homology_support, is_sphere_like):
+            with pytest.raises(CharvarError):
+                f(-1)
