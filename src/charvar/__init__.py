@@ -5,7 +5,7 @@ Subpackages:
   groups     - reductive group descriptors, centers, CI decision
   subalg     - Levi and Borel-de Siebenthal subalgebra tables
   bounds     - codimension lower bounds and singular-locus report
-  homotopy   - pi_k of simple groups and of the good locus
+  homotopy   - pi_k of simple and reductive groups and of the good locus
   localmodel - slice weight profiles and link homology support
   cli        - command-line front end
 """
@@ -30,8 +30,6 @@ from .groups import (
     is_ci,
     min_simple_rank,
     parse_group,
-    pi1,
-    pi1_adjoint,
 )
 from .homotopy import (
     HomotopyDatabase,
@@ -39,6 +37,7 @@ from .homotopy import (
     Validity,
     good_locus_homotopy,
     load_database,
+    pi_group,
     pi_simple,
 )
 from .localmodel import (

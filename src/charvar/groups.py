@@ -1,8 +1,9 @@
-"""Reductive group descriptors, centers, fundamental groups, CI decision.
+"""Abelian groups, reductive group descriptors, centers, CI decision.
 
 A group is described by a central torus rank and a list of simple factors,
-each simply connected or adjoint.  Finite abelian invariants are computed
-by Smith normal form of Cartan matrices, never by table lookup.
+each simply connected or adjoint.  Centers are computed by Smith normal
+form of Cartan matrices, never by table lookup; pi_k of a group, the
+fundamental group included, is `homotopy.pi_group`.
 """
 
 from __future__ import annotations
@@ -75,32 +76,29 @@ class FgAbelianGroup:
 
     @classmethod
     def from_torsion(cls, moduli, free_rank: int = 0) -> "FgAbelianGroup":
-        """Normalize an arbitrary list of cyclic orders to invariant factors."""
+        """Normalize an arbitrary list of cyclic orders to invariant factors:
+        the i-th largest factor is the product of each prime's i-th largest power."""
         per_prime: dict[int, list[int]] = defaultdict(list)
         for m in moduli:
             if m <= 0:
                 raise CharvarError(f"invalid cyclic order {m}")
             for p, e in _factorize(m).items():
-                per_prime[p].append(e)
-        if not per_prime:
-            return cls(free_rank=free_rank)
-        width = max(len(v) for v in per_prime.values())
-        factors = []
-        for slot in range(width):
-            d = 1
-            for p, exps in per_prime.items():
-                exps = sorted(exps, reverse=True)
-                if slot < len(exps):
-                    d *= p ** exps[slot]
-            factors.append(d)
+                per_prime[p].append(p**e)
+        factors = [1] * max(map(len, per_prime.values()), default=0)
+        for powers in per_prime.values():
+            powers.sort(reverse=True)
+            for slot, q in enumerate(powers):
+                factors[slot] *= q
         return cls(free_rank=free_rank, invariant_factors=tuple(reversed(factors)))
 
-    def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        if not (self.known and other.known):
+    def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
+        """The direct sum of this group and any number of others."""
+        summands = (self, *others)
+        if not all(a.known for a in summands):
             return FgAbelianGroup.unknown()
         return FgAbelianGroup.from_torsion(
-            list(self.invariant_factors) + list(other.invariant_factors),
-            free_rank=self.free_rank + other.free_rank,
+            [d for a in summands for d in a.invariant_factors],
+            free_rank=sum(a.free_rank for a in summands),
         )
 
     def power(self, n: int) -> "FgAbelianGroup":
@@ -153,6 +151,10 @@ class GroupDescriptor:
     def is_abelian(self) -> bool:
         return not self.factors
 
+    def adjoint(self) -> "GroupDescriptor":
+        """PG = G / Z(G): the adjoint forms of the factors, no torus."""
+        return GroupDescriptor(0, tuple((t, Isogeny.ADJOINT) for t, _ in self.factors))
+
     def __str__(self) -> str:
         parts = []
         if self.torus_rank:
@@ -196,23 +198,6 @@ def center_group(t: SimpleType) -> FgAbelianGroup:
     """Center of the simply connected form: cokernel of the Cartan matrix."""
     diag = smith_normal_form([list(row) for row in cartan_matrix(t)])
     return FgAbelianGroup.from_torsion([d for d in diag if d > 1])
-
-
-def pi1(g: GroupDescriptor) -> FgAbelianGroup:
-    """Fundamental group: Z^torus plus the centers of the adjoint factors."""
-    out = FgAbelianGroup.free(g.torus_rank)
-    for t, iso in g.factors:
-        if iso is Isogeny.ADJOINT:
-            out = out.direct_sum(center_group(t))
-    return out
-
-
-def pi1_adjoint(g: GroupDescriptor) -> FgAbelianGroup:
-    """pi_1(PG): centers of all factors, independent of isogeny and torus."""
-    out = FgAbelianGroup.trivial()
-    for t, _ in g.factors:
-        out = out.direct_sum(center_group(t))
-    return out
 
 
 def is_ci(g: GroupDescriptor) -> tuple[bool, str]:

@@ -1,4 +1,4 @@
-"""Homotopy groups of simple Lie groups and of the good locus.
+"""Homotopy groups of simple and reductive Lie groups and of the good locus.
 
 Exceptional values are shipped as an explicit data table with per-entry
 provenance; classical families are answered from Bott stable ranges plus
@@ -182,12 +182,12 @@ def _validity(g: GroupDescriptor, r: int, k: int) -> Validity:
     return Validity.OUT_OF_PROVEN_RANGE
 
 
-def _pi_group(g: GroupDescriptor, k: int, db: Optional[HomotopyDatabase]) -> FgAbelianGroup:
-    """pi_k(G) of the whole reductive group."""
-    out = FgAbelianGroup.free(g.torus_rank) if k == 1 else FgAbelianGroup.trivial()
-    for t, iso in g.factors:
-        out = out.direct_sum(pi_simple(t, iso, k, db))
-    return out
+def pi_group(g: GroupDescriptor, k: int, db: Optional[HomotopyDatabase] = None) -> FgAbelianGroup:
+    """pi_k of a reductive group: Z^torus in degree 1 plus pi_k of each factor."""
+    if k < 0:
+        raise CharvarError("negative homotopy degree")
+    torus = FgAbelianGroup.free(g.torus_rank if k == 1 else 0)
+    return torus.direct_sum(*(pi_simple(t, iso, k, db) for t, iso in g.factors))
 
 
 def good_locus_homotopy(
@@ -208,11 +208,8 @@ def good_locus_homotopy(
     validity = _validity(g, r, k)
     if k == 0:
         return HomotopyResult(FgAbelianGroup.trivial(), validity, "pi_0 = 0")
-    pik = _pi_group(g, k, db)
-    pg_part = FgAbelianGroup.trivial()  # pi_0(PG) is trivial
-    if k >= 2:
-        for t, _ in g.factors:
-            pg_part = pg_part.direct_sum(pi_simple(t, Isogeny.ADJOINT, k - 1, db))
-    value = pik.power(r).direct_sum(pg_part)
-    trace = f"pi_{k}(G)^{r} + pi_{k - 1}(PG) = ({pik})^{r} + ({pg_part})"
+    pik = pi_group(g, k, db)
+    pg = pi_group(g.adjoint(), k - 1, db)
+    value = pik.power(r).direct_sum(pg)
+    trace = f"pi_{k}(G)^{r} + pi_{k - 1}(PG) = ({pik})^{r} + ({pg})"
     return HomotopyResult(value, validity, trace)

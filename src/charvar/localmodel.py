@@ -7,10 +7,15 @@ the cone point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import CharvarError
-from .rootsys import SimpleType, all_roots
+from .rootsys import SimpleType, positive_roots
+
+# Largest M for which the link's homology support (2M + 2 degrees) is built.
+MAX_M = 10**6
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,10 @@ def parabolic_weights(t: SimpleType, i: int, r: int) -> WeightProfile:
         raise CharvarError(f"node {i} out of range for {t}")
     if r < 2:
         raise CharvarError("weight profiles require free-group rank r >= 2")
-    counts: dict[int, int] = {}
-    for root in all_roots(t):
-        n = root[i - 1]
-        if n:
-            counts[n] = counts.get(n, 0) + 1
-    return WeightProfile({n: (r - 1) * c for n, c in counts.items()}, t, i, r)
+    counts = Counter(root[i - 1] for root in positive_roots(t) if root[i - 1])
+    # each negative root mirrors a positive one: d_{-n} = d_n
+    d = {s * n: (r - 1) * c for n, c in counts.items() for s in (1, -1)}
+    return WeightProfile(d, t, i, r)
 
 
 def is_topologically_singular(w: WeightProfile) -> bool:
@@ -58,11 +61,14 @@ class HomologySupport:
 def homology_support(M: int) -> HomologySupport:
     """Degrees with nonzero rational homology of the link for weight space
     dimension M + 1 on each side: {0, 2, ..., 2M} and {2M+1, 2M+3, ..., 4M+1}.
+    M above MAX_M is refused before anything is built.
     """
     if M < 0:
         raise CharvarError("M must be nonnegative")
-    dims = set(range(0, 2 * M + 1, 2)) | set(range(2 * M + 1, 4 * M + 2, 2))
-    return HomologySupport(M, frozenset(dims))
+    if M > MAX_M:
+        raise CharvarError(f"M = {M} is above the ceiling {MAX_M} for a homology support")
+    evens, odds = range(0, 2 * M + 1, 2), range(2 * M + 1, 4 * M + 2, 2)
+    return HomologySupport(M, frozenset(chain(evens, odds)))
 
 
 def is_sphere_like(M: int) -> bool:

@@ -387,8 +387,3 @@ def classify_diagram(d: DynkinDiagram) -> list[SimpleType]:
     adj, comps = _components(d)
     return sorted(_classify_component(nodes, edges, adj) for nodes, edges in comps)
 
-
-def all_roots(t: SimpleType) -> frozenset[tuple[int, ...]]:
-    """Positive and negative roots together."""
-    pos = positive_roots(t)
-    return pos | frozenset(tuple(-c for c in root) for root in pos)

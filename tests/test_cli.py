@@ -227,6 +227,12 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: database line 1: ")
 
+    def test_homology_support_ceiling_exit_1(self):
+        # M = 3 * 10**11 - 4 is refused before the support is built
+        code, out, err = invoke("local-model", "A3", "-i", "1", "-r", "100000000000")
+        assert code == 1 and not out
+        assert err.startswith("error: M = ") and err.count("\n") == 1
+
     def test_database_not_utf8_exit_1(self, tmp_path):
         db = tmp_path / "pi.txt"
         db.write_bytes(b"G2 any 6 0 3 \xff\n")

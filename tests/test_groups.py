@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from charvar import (
     is_ci,
     min_simple_rank,
     parse_group,
+    pi_group,
 )
-from charvar.groups import pi1, pi1_adjoint
 from charvar.snf import smith_normal_form
 
 from golden_tables import ALL_TYPES, T
@@ -76,6 +77,20 @@ class TestFgAbelianGroup:
     @given(fga, fga, fga)
     def test_direct_sum_associates(self, a, b, c):
         assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
+        assert a.direct_sum(b, c) == a.direct_sum(b).direct_sum(c)
+
+    @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6))
+    def test_from_torsion_matches_smith_normal_form(self, ms):
+        diag = [[m if i == j else 0 for j in range(len(ms))] for i, m in enumerate(ms)]
+        want = tuple(d for d in smith_normal_form(diag) if d > 1)
+        assert FgAbelianGroup.from_torsion(ms).invariant_factors == want
+
+    def test_from_torsion_near_linear(self):
+        start = time.perf_counter()
+        a = FgAbelianGroup.from_torsion([2, 3, 4, 6, 12] * 3000)
+        elapsed = time.perf_counter() - start
+        assert a.invariant_factors == (2,) * 3000 + (6,) * 3000 + (12,) * 6000
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
 
     @given(fga, st.integers(min_value=0, max_value=4))
     def test_power_is_iterated_sum(self, a, n):
@@ -182,17 +197,25 @@ class TestDescriptor:
 
 class TestPi1:
     def test_pi1(self):
-        assert pi1(parse_group("T^1")) == FgAbelianGroup.free(1)
-        assert pi1(parse_group("A1[sc]")) == FgAbelianGroup.trivial()
-        assert pi1(parse_group("A1[ad]")) == FgAbelianGroup.cyclic(2)
-        assert pi1(parse_group("T^1 x E6[ad]")) == FgAbelianGroup(
+        assert pi_group(parse_group("T^1"), 1) == FgAbelianGroup.free(1)
+        assert pi_group(parse_group("A1[sc]"), 1) == FgAbelianGroup.trivial()
+        assert pi_group(parse_group("A1[ad]"), 1) == FgAbelianGroup.cyclic(2)
+        assert pi_group(parse_group("T^1 x E6[ad]"), 1) == FgAbelianGroup(
             free_rank=1, invariant_factors=(3,))
 
     def test_pi1_adjoint_ignores_isogeny(self):
         for iso in ("sc", "ad"):
-            assert pi1_adjoint(parse_group(f"E7[{iso}]")) == FgAbelianGroup.cyclic(2)
-        assert pi1_adjoint(parse_group("T^5 x E8")) == FgAbelianGroup.trivial()
-        assert pi1_adjoint(parse_group("A2 x A2[ad]")) == FgAbelianGroup.from_torsion([3, 3])
+            pg = parse_group(f"E7[{iso}]").adjoint()
+            assert pg == parse_group("E7[ad]")
+            assert pi_group(pg, 1) == FgAbelianGroup.cyclic(2)
+        assert parse_group("T^5 x E8").adjoint() == parse_group("E8[ad]")
+        assert pi_group(parse_group("T^5 x E8").adjoint(), 1) == FgAbelianGroup.trivial()
+        assert pi_group(parse_group("A2 x A2[ad]").adjoint(), 1) == FgAbelianGroup(
+            invariant_factors=(3, 3))
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(CharvarError):
+            pi_group(parse_group("T^2"), -1)
 
 
 class TestCI:

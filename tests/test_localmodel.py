@@ -10,6 +10,7 @@ from charvar import (
     parabolic_weights,
     positive_roots,
 )
+from charvar.localmodel import MAX_M
 from charvar.rootsys import marks
 
 from golden_tables import ALL_TYPES, T
@@ -103,6 +104,7 @@ class TestHomologySupport:
     @given(st.integers(min_value=0, max_value=60))
     def test_shape(self, M):
         dims = homology_support(M).dims
+        assert type(dims) is frozenset
         assert len(dims) == 2 * (M + 1)
         assert min(dims) == 0 and max(dims) == 4 * M + 1  # top degree: a manifold link
 
@@ -116,3 +118,8 @@ class TestHomologySupport:
         for f in (homology_support, is_sphere_like):
             with pytest.raises(CharvarError):
                 f(-1)
+
+    def test_above_ceiling_rejected(self):
+        assert MAX_M == 10**6
+        with pytest.raises(CharvarError, match="ceiling"):
+            homology_support(10**6 + 1)

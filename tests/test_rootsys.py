@@ -15,7 +15,7 @@ from charvar import (
     highest_root,
     positive_roots,
 )
-from charvar.rootsys import all_roots, marks
+from charvar.rootsys import marks
 
 from golden_tables import ALL_TYPES, T
 
@@ -127,12 +127,6 @@ class TestRoots:
         theta = highest_root(t)
         for root in positive_roots(t):
             assert all(0 <= c <= m for c, m in zip(root, theta))
-
-    @given(any_type)
-    def test_roots_symmetric_and_distinct(self, t):
-        roots = all_roots(t)
-        assert len(roots) == 2 * len(positive_roots(t))
-        assert roots == {tuple(-c for c in root) for root in roots}
 
     def test_highest_root_marks(self):
         assert highest_root(T("A4")) == (1, 1, 1, 1)
