@@ -1,9 +1,8 @@
 """Abelian groups, reductive group descriptors, centers, CI decision.
 
 A group is described by a central torus rank and a list of simple factors,
-each simply connected or adjoint.  Centers are computed by Smith normal
-form of Cartan matrices, never by table lookup; pi_k of a group, the
-fundamental group included, is `homotopy.pi_group`.
+each simply connected or adjoint.  Centers come from `rootsys.center_orders`;
+pi_k of a group, the fundamental group included, is `homotopy.pi_group`.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import CharvarError
-from .rootsys import SimpleType, cartan_matrix
-from .snf import smith_normal_form
+from .rootsys import SimpleType, center_orders
 
 
 class Isogeny(enum.Enum):
@@ -163,7 +161,7 @@ class GroupDescriptor:
         return " x ".join(parts) if parts else "T^0"
 
 
-_FACTOR_RE = re.compile(r"^([A-G])(\d+)(?:\[(sc|ad)\])?$")
+_FACTOR_RE = re.compile(r"^([A-G]\d+)(?:\[(sc|ad)\])?$")
 _TORUS_RE = re.compile(r"^T\^(\d+)$")
 
 
@@ -183,21 +181,23 @@ def parse_group(text: str) -> GroupDescriptor:
         if m:
             if idx != 0:
                 raise CharvarError("torus term must come first")
-            torus = int(m.group(1))
+            try:
+                torus = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise CharvarError("torus rank has too many digits") from None
             continue
         m = _FACTOR_RE.match(term)
         if not m:
             raise CharvarError(f"cannot parse factor {term!r}")
-        t = SimpleType(m.group(1), int(m.group(2)))
-        iso = Isogeny(m.group(3) or "sc")
+        t = SimpleType.parse(m.group(1))
+        iso = Isogeny(m.group(2) or "sc")
         factors.append((t, iso))
     return GroupDescriptor(torus, tuple(factors))
 
 
 def center_group(t: SimpleType) -> FgAbelianGroup:
-    """Center of the simply connected form: cokernel of the Cartan matrix."""
-    diag = smith_normal_form([list(row) for row in cartan_matrix(t)])
-    return FgAbelianGroup.from_torsion([d for d in diag if d > 1])
+    """Center of the simply connected form, from `rootsys.center_orders`."""
+    return FgAbelianGroup.from_torsion(center_orders(t))
 
 
 def is_ci(g: GroupDescriptor) -> tuple[bool, str]:

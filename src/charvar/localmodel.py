@@ -7,12 +7,11 @@ the cone point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import CharvarError
-from .rootsys import SimpleType, positive_roots
+from .rootsys import SimpleType, grading
 
 # Largest M for which the link's homology support (2M + 2 degrees) is built.
 MAX_M = 10**6
@@ -36,14 +35,13 @@ class WeightProfile:
 
 
 def parabolic_weights(t: SimpleType, i: int, r: int) -> WeightProfile:
-    """d_n = (r-1) * number of roots with alpha_i-coefficient n, n != 0."""
-    if not 1 <= i <= t.rank:
-        raise CharvarError(f"node {i} out of range for {t}")
+    """d_{+-n} = (r-1) * c_n, where c_n counts the positive roots with
+    alpha_i-coefficient n (`rootsys.grading`); each negative root mirrors a
+    positive one."""
+    counts = grading(t, i)
     if r < 2:
         raise CharvarError("weight profiles require free-group rank r >= 2")
-    counts = Counter(root[i - 1] for root in positive_roots(t) if root[i - 1])
-    # each negative root mirrors a positive one: d_{-n} = d_n
-    d = {s * n: (r - 1) * c for n, c in counts.items() for s in (1, -1)}
+    d = {s * n: (r - 1) * c for n, c in enumerate(counts, start=1) for s in (1, -1)}
     return WeightProfile(d, t, i, r)
 
 

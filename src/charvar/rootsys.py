@@ -1,10 +1,11 @@
 """Exact integer root-system data for the simple Lie types.
 
-Roots are stored as integer coordinate vectors in the simple-root basis;
-there is no Euclidean realization and no floating point anywhere.  Node
+The data (dimensions, marks, gradings, centers, affine nodes) are closed
+forms or tables from Bourbaki, Lie Groups ch. VI, plates I-IX; root
+enumeration and Cartan matrices stay as public API and test oracles.  Node
 numbering follows Bourbaki (A/B/C/D chains numbered left to right, the
 branch node of E6/E7/E8 is node 4 with node 2 hanging off it, G2 has the
-short root first).
+short root first).  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ from .errors import CharvarError
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4}
 _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 _EXCEPTIONAL_DIMENSIONS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
-_EXCEPTIONAL_MARKS = {
-    ("E", 6): (1, 2, 2, 3, 2, 1),
-    ("E", 7): (2, 2, 3, 4, 3, 2, 1),
-    ("E", 8): (2, 3, 4, 6, 5, 4, 3, 2),
-    ("F", 4): (2, 3, 4, 2),
-    ("G", 2): (3, 2),
+# Per node, how many positive roots have coefficient 1, 2, ..., mark there.
+_EXCEPTIONAL_GRADINGS = {
+    ("E", 6): ((16,), (20, 1), (20, 5), (18, 9, 2), (20, 5), (16,)),
+    ("E", 7): ((32, 1), (35, 7), (30, 15, 2), (24, 18, 8, 3), (30, 15, 5), (32, 10), (27,)),
+    ("E", 8): ((64, 14), (56, 28, 8), (42, 35, 14, 7), (30, 30, 20, 15, 6, 5),
+               (40, 30, 20, 10, 4), (48, 30, 16, 3), (54, 27, 2), (56, 1)),
+    ("F", 4): ((14, 1), (12, 6, 2), (6, 9, 2, 3), (8, 7)),
+    ("G", 2): ((2, 1, 2), (4, 1)),
 }
+_EXCEPTIONAL_CENTERS = {("E", 6): (3,), ("E", 7): (2,)}  # trivial for E8, F4, G2
 
 # Low-rank coincidences.  These labels are rejected at construction; the
 # value names the canonical isomorphic type.
@@ -61,9 +65,13 @@ class SimpleType:
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         text = text.strip()
-        if len(text) < 2 or text[0] not in "ABCDEFG" or not text[1:].isdigit():
+        if len(text) < 2 or text[0] not in "ABCDEFG" or not text[1:].isdecimal():
             raise CharvarError(f"cannot parse simple type {text!r}")
-        return cls(text[0], int(text[1:]))
+        try:
+            rank = int(text[1:])
+        except ValueError:  # more digits than int() converts
+            raise CharvarError(f"rank of {text[0]} has too many digits") from None
+        return cls(text[0], rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -217,64 +225,53 @@ def highest_root(t: SimpleType) -> tuple[int, ...]:
         return (2,) * (n - 1) + (1,)
     if t.family == "D":
         return (1,) + (2,) * (n - 3) + (1, 1)
-    return _EXCEPTIONAL_MARKS[t.family, n]
+    return tuple(map(len, _EXCEPTIONAL_GRADINGS[t.family, n]))
 
 
-def marks(t: SimpleType) -> dict[int, int]:
-    """Highest-root coefficient of each node (1-based node ids)."""
-    return {i + 1: c for i, c in enumerate(highest_root(t))}
+def grading(t: SimpleType, i: int) -> tuple[int, ...]:
+    """(c_1, ..., c_m): c_n positive roots have coefficient n at node i, m is
+    its mark.  Closed forms for A-D; the exceptional rows were enumerated."""
+    n = t.rank
+    if not 1 <= i <= n:
+        raise CharvarError(f"node {i} out of range for {t}")
+    if t.family == "A":
+        counts = (i * (n + 1 - i),)
+    elif t.family == "B":
+        counts = (i * (2 * n - 2 * i + 1), i * (i - 1) // 2)
+    elif t.family == "C":
+        counts = (2 * i * (n - i), i * (i + 1) // 2) if i < n else (n * (n + 1) // 2,)
+    elif t.family == "D":
+        counts = (2 * i * (n - i), i * (i - 1) // 2) if i <= n - 2 else (n * (n - 1) // 2,)
+    else:
+        return _EXCEPTIONAL_GRADINGS[t.family, n][i - 1]
+    return tuple(c for c in counts if c)
 
 
-def _norms_squared(t: SimpleType) -> dict[int, int]:
-    """Relative squared root lengths per node, as integers.
-
-    Node 1 is given the largest bond multiplicity, so stepping from a long
-    node to a short one divides exactly whichever length node 1 has.
-    """
-    d = diagram_of(t)
-    adj: dict[int, list[DynkinEdge]] = {n: [] for n in d.nodes}
-    for e in d.edges:
-        adj[e.i].append(e)
-        adj[e.j].append(e)
-    norms = {1: max((e.multiplicity for e in d.edges), default=1)}
-    frontier = [1]
-    while frontier:
-        n = frontier.pop()
-        for e in adj[n]:
-            m = e.other(n)
-            if m in norms:
-                continue
-            if e.multiplicity == 1:
-                norms[m] = norms[n]
-            elif e.short == n:
-                norms[m] = norms[n] * e.multiplicity
-            else:
-                norms[m] = norms[n] // e.multiplicity
-            frontier.append(m)
-    return norms
+def center_orders(t: SimpleType) -> tuple[int, ...]:
+    """Cyclic orders of Z(G_sc), the weight lattice modulo the root lattice."""
+    n = t.rank
+    if t.family == "A":
+        return (n + 1,)
+    if t.family == "D":
+        return (4,) if n % 2 else (2, 2)
+    return (2,) if t.family in "BC" else _EXCEPTIONAL_CENTERS.get((t.family, n), ())
 
 
 def extended_diagram(t: SimpleType) -> DynkinDiagram:
-    """The affine diagram: add node 0 carrying the minimal root -theta."""
+    """The affine diagram: add node 0 carrying the minimal root -theta,
+    joined as on the plates (Bourbaki, Lie Groups ch. VI, plates I-IX)."""
     base = diagram_of(t)
-    cartan = cartan_matrix(t)
-    theta = highest_root(t)
-    r = t.rank
-    norms = _norms_squared(t)
-    theta_norm = max(norms.values())  # the highest root is long
-    edges = list(base.edges)
-    for j in range(r):
-        p = sum(theta[i] * cartan[i][j] for i in range(r))  # <theta, a_j^v>
-        if p == 0:
-            continue
-        q, rem = divmod(p * norms[j + 1], theta_norm)  # <a_j, theta^v>
-        assert rem == 0
-        mult = max(p, q)
-        short = j + 1 if norms[j + 1] < theta_norm else None
-        edges.append(DynkinEdge(0, j + 1, mult, short=short))
-    node_marks = {i + 1: c for i, c in enumerate(theta)}
-    node_marks[0] = 1
-    return DynkinDiagram((0,) + base.nodes, tuple(edges), node_marks)
+    n = t.rank
+    if t.family == "A":
+        affine = [DynkinEdge(0, 1, 2)] if n == 1 else [DynkinEdge(0, 1), DynkinEdge(0, n)]
+    elif (t.family, n) == ("B", 2):
+        affine = [DynkinEdge(0, 2, 2, short=2)]
+    elif t.family == "C":
+        affine = [DynkinEdge(0, 1, 2, short=1)]
+    else:  # a single bond: to node 1 for E7 and F4, node 8 for E8, else node 2
+        affine = [DynkinEdge(0, {("E", 7): 1, ("E", 8): 8, ("F", 4): 1}.get((t.family, n), 2))]
+    node_marks = dict(enumerate(highest_root(t), start=1)) | {0: 1}
+    return DynkinDiagram((0,) + base.nodes, base.edges + tuple(affine), node_marks)
 
 
 def _components(

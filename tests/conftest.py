@@ -1,10 +1,31 @@
 import pathlib
 import sys
 
+import pytest
+
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_REPORT: list[str] = []
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Root enumeration and the Cartan matrix raise, at every binding in
+    charvar: the runtime paths read closed forms only."""
+    from charvar import rootsys
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} reached at run time")
+        return refused
+
+    forbidden = {id(f): f.__name__ for f in (rootsys.positive_roots, rootsys.cartan_matrix)}
+    modules = [m for n, m in sys.modules.items() if n == "charvar" or n.startswith("charvar.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if id(value) in forbidden:
+                monkeypatch.setattr(module, attr, refuse(forbidden[id(value)]))
 
 
 def pytest_terminal_summary(terminalreporter):

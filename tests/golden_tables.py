@@ -133,6 +133,13 @@ ALL_EXCEPTIONAL = ["G2", "F4", "E6", "E7", "E8"]
 ALL_TYPES = [SimpleType(f, r) for f, r in ALL_CLASSICAL] + [T(n) for n in ALL_EXCEPTIONAL]
 
 
+def types_up_to(rank):
+    """A1-An, B2-Bn, C3-Cn and D4-Dn for n = rank, then the exceptional types."""
+    return ([SimpleType(f, r) for f, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+             for r in range(low, rank + 1)]
+            + [T(n) for n in ALL_EXCEPTIONAL])
+
+
 # --- exceptional good-locus homotopy table -------------------------------
 #
 # Each cell is a list of (order, exponent) pairs, order 0 meaning a free

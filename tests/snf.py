@@ -1,4 +1,8 @@
-"""Smith normal form of an integer matrix, exact arithmetic only."""
+"""Smith normal form of an integer matrix, exact arithmetic only.
+
+The tests' oracle for centers, lattice indices and invariant factors;
+charvar itself reads those from closed forms.
+"""
 
 from __future__ import annotations
 

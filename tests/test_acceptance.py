@@ -18,6 +18,7 @@ from charvar import (
     center_group,
     dimension,
     good_locus_homotopy,
+    highest_root,
     homology_support,
     is_ci,
     is_sphere_like,
@@ -31,7 +32,6 @@ from charvar import (
     pi_simple,
     positive_roots,
 )
-from charvar.rootsys import marks
 
 import golden_tables as g
 from golden_tables import T, types
@@ -99,7 +99,7 @@ def test_criterion_2_bds_table():
 
 def test_criterion_3_lattice_indices():
     for t in g.ALL_TYPES:
-        for node, mark in marks(t).items():
+        for node, mark in enumerate(highest_root(t), start=1):
             if mark >= 2:
                 idx = lattice_index(t, node)
                 assert idx == FgAbelianGroup.cyclic(mark), (t, node)

@@ -52,7 +52,7 @@ class TestJsonSchema:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", TRANSCRIPTS)
-def test_transcript(name, fmt):
+def test_transcript(name, fmt, no_enumeration):
     code, out, err = invoke(*TRANSCRIPTS[name], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
@@ -175,6 +175,15 @@ class TestQueries:
         assert obj["marks"] == [1] * 2000
         assert elapsed < 1.0, f"roots A2000 took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("argv", [("local-model", "A80", "-i", "40", "-r", "2"),
+                                      ("homotopy", "A400[ad]", "-r", "2", "-k", "1")])
+    def test_large_rank_in_closed_form(self, argv):
+        t0 = time.perf_counter()
+        code, out, _ = invoke(*argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and out
+        assert elapsed < 1.0, f"{' '.join(argv)} took {elapsed:.2f}s"
+
 
 def override_db(path, torsion):
     # an override replaces the default database wholly, so k - 1 must be
@@ -232,6 +241,14 @@ class TestExitCodes:
         code, out, err = invoke("local-model", "A3", "-i", "1", "-r", "100000000000")
         assert code == 1 and not out
         assert err.startswith("error: M = ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("roots", "A²"), ("roots", "A" + "1" * 4400),
+                                      ("ci", "T^" + "1" * 4400 + " x A1")],
+                             ids=["superscript", "long_rank", "long_torus"])
+    def test_unparsable_rank_exit_1(self, argv):
+        code, out, err = invoke(*argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_database_not_utf8_exit_1(self, tmp_path):
         db = tmp_path / "pi.txt"

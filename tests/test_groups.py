@@ -17,9 +17,9 @@ from charvar import (
     parse_group,
     pi_group,
 )
-from charvar.snf import smith_normal_form
 
-from golden_tables import ALL_TYPES, T
+from golden_tables import T, types_up_to
+from snf import smith_normal_form
 
 small_torsion = st.lists(st.integers(min_value=1, max_value=64), max_size=5)
 fga = st.builds(lambda tors, free: FgAbelianGroup.from_torsion(tors, free_rank=free),
@@ -155,13 +155,14 @@ class TestCenter:
         for name, tors in CENTERS.items():
             assert center_group(T(name)) == FgAbelianGroup.from_torsion(tors), name
 
-    def test_order_matches_lattice_index(self):
-        # |Z(G_sc)| equals det of the Cartan matrix for every type
+    def test_matches_smith_normal_form(self):
+        # Z(G_sc) is the cokernel of the Cartan matrix, as a group: orders
+        # alone cannot tell Z_4 from Z_2^2
         from charvar import cartan_matrix
 
-        for t in ALL_TYPES:
+        for t in types_up_to(40):
             diag = smith_normal_form([list(r) for r in cartan_matrix(t)])
-            assert center_group(t).order() == math.prod(diag), t
+            assert center_group(t) == FgAbelianGroup.from_torsion(d for d in diag if d > 1), t
 
 
 class TestDescriptor:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from charvar import (
     CharvarError,
+    highest_root,
     homology_support,
     is_sphere_like,
     is_topologically_singular,
@@ -11,7 +12,6 @@ from charvar import (
     positive_roots,
 )
 from charvar.localmodel import MAX_M
-from charvar.rootsys import marks
 
 from golden_tables import ALL_TYPES, T
 
@@ -40,7 +40,7 @@ class TestWeights:
 
     @given(st.sampled_from(ALL_TYPES), st.integers(min_value=2, max_value=4))
     def test_profile_invariants(self, t, r):
-        node_marks = marks(t)
+        node_marks = dict(enumerate(highest_root(t), start=1))
         for i in range(1, t.rank + 1):
             w = parabolic_weights(t, i, r)
             # symmetric in n, supported on 1..mark, accounts for every root

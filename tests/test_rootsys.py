@@ -1,3 +1,5 @@
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,18 +8,23 @@ from hypothesis import strategies as st
 
 from charvar import (
     CharvarError,
+    Isogeny,
     SimpleType,
+    bds_table,
     cartan_matrix,
     classify_diagram,
     diagram_of,
     dimension,
     extended_diagram,
     highest_root,
+    levi_table,
+    parabolic_weights,
+    pi_simple,
     positive_roots,
 )
-from charvar.rootsys import marks
+from charvar.rootsys import grading
 
-from golden_tables import ALL_TYPES, T
+from golden_tables import ALL_TYPES, T, types_up_to
 
 any_type = st.sampled_from(ALL_TYPES)
 
@@ -52,7 +59,7 @@ class TestSimpleType:
         with pytest.raises(CharvarError, match="alias"):
             SimpleType.parse(bad)
 
-    @pytest.mark.parametrize("bad", ["E5", "E9", "F5", "G3", "A0", "H4", "Q", "A", "2A"])
+    @pytest.mark.parametrize("bad", ["E5", "E9", "F5", "G3", "A0", "H4", "Q", "A", "2A", "A²"])
     def test_invalid_rejected(self, bad):
         with pytest.raises(CharvarError):
             SimpleType.parse(bad)
@@ -133,9 +140,9 @@ class TestRoots:
         assert highest_root(T("G2")) == (3, 2)
         assert highest_root(T("F4")) == (2, 3, 4, 2)
         assert highest_root(T("E8")) == (2, 3, 4, 6, 5, 4, 3, 2)
-        assert marks(T("B5")) == {1: 1, 2: 2, 3: 2, 4: 2, 5: 2}
-        assert marks(T("C5")) == {1: 2, 2: 2, 3: 2, 4: 2, 5: 1}
-        assert marks(T("D6")) == {1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1}
+        assert highest_root(T("B5")) == (1, 2, 2, 2, 2)
+        assert highest_root(T("C5")) == (2, 2, 2, 2, 1)
+        assert highest_root(T("D6")) == (1, 2, 2, 2, 1, 1)
 
     def test_sum_of_marks(self):
         # height of the highest root is h - 1 (Coxeter number h)
@@ -146,11 +153,7 @@ class TestRoots:
 
 
 # Every type up to rank 20; the closed forms are checked against enumeration.
-ORACLE_TYPES = (
-    [SimpleType(f, r) for f, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
-     for r in range(low, 21)]
-    + [T(n) for n in ("E6", "E7", "E8", "F4", "G2")]
-)
+ORACLE_TYPES = types_up_to(20)
 
 
 def coxeter_number(t):
@@ -171,6 +174,14 @@ class TestClosedFormsAgainstEnumeration:
         assert theta in pos
         assert all(all(a >= b for a, b in zip(theta, root)) for root in pos)
         assert sum(theta) == h - 1
+        for i in range(1, t.rank + 1):
+            counts = Counter(root[i - 1] for root in pos if root[i - 1])
+            assert grading(t, i) == tuple(counts[n] for n in range(1, theta[i - 1] + 1)), i
+
+    def test_grading_rejects_bad_node(self):
+        for i in (0, 7):
+            with pytest.raises(CharvarError, match="out of range"):
+                grading(T("E6"), i)
 
 
 class TestClassify:
@@ -216,6 +227,23 @@ class TestExtended:
             got = {e.other(0) for e in ext.edges if 0 in (e.i, e.j)}
             assert got == nodes, name
 
+    @pytest.mark.parametrize("t", types_up_to(40), ids=str)
+    def test_marks_in_left_kernel_of_affine_cartan_matrix(self, t):
+        # delta = alpha_0 + theta pairs to 0 with every coroot: sum_i a_i A_ij = 0
+        ext = extended_diagram(t)
+        a = [[2 * (i == j) for j in range(t.rank + 1)] for i in range(t.rank + 1)]
+        for e in ext.edges:
+            if e.short is None:  # single bonds and the symmetric affine-A1 bond
+                a[e.i][e.j] = a[e.j][e.i] = -e.multiplicity
+            else:
+                long_end = e.other(e.short)
+                a[long_end][e.short], a[e.short][long_end] = -e.multiplicity, -1
+        assert tuple(tuple(row[1:]) for row in a[1:]) == cartan_matrix(t)
+        marks = [ext.marks[i] for i in range(t.rank + 1)]
+        assert marks[0] == 1
+        assert all(sum(marks[i] * a[i][j] for i in range(t.rank + 1)) == 0
+                   for j in range(t.rank + 1))
+
     def test_marks_include_affine_node(self):
         ext = extended_diagram(T("E8"))
         assert ext.marks[0] == 1
@@ -232,3 +260,17 @@ class TestExtended:
         assert classify_diagram(extg.without_node(2)) == [T("A1"), T("A1")]
         extf = extended_diagram(T("F4"))
         assert classify_diagram(extf.without_node(4)) == [T("B4")]
+
+
+class TestRuntimePaths:
+    def test_library_reads_closed_forms_only(self, no_enumeration):
+        for t in ALL_TYPES:
+            levi_table(t)
+            bds_table(t)
+            for i in range(1, t.rank + 1):
+                parabolic_weights(t, i, 2)
+            pi_simple(t, Isogeny.ADJOINT, 1)
+
+    def test_no_smith_normal_form_in_package(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("charvar.snf")

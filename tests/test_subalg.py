@@ -5,17 +5,17 @@ from charvar import (
     FgAbelianGroup,
     bds_table,
     dimension,
+    highest_root,
     lattice_index,
     levi_table,
     min_bds_codim,
     min_levi_codim,
     positive_roots,
 )
-from charvar.rootsys import marks
-from charvar.snf import smith_normal_form
 
 import golden_tables as g
 from golden_tables import T, types
+from snf import smith_normal_form
 
 
 class TestLeviExceptional:
@@ -105,7 +105,7 @@ class TestBdSInvariants:
     @pytest.mark.parametrize("name", ["B5", "C4", "D6", "F4", "G2", "E7"])
     def test_full_rank_and_nodes(self, name):
         t = T(name)
-        node_marks = marks(t)
+        node_marks = dict(enumerate(highest_root(t), start=1))
         table = {rec.node: rec for rec in bds_table(t)}
         assert set(table) == {i for i, m in node_marks.items() if m >= 2}
         for rec in table.values():
@@ -147,7 +147,7 @@ class TestLatticeIndex:
 
     def test_order_equals_mark_everywhere(self):
         for t in g.ALL_TYPES:
-            for node, mark in marks(t).items():
+            for node, mark in enumerate(highest_root(t), start=1):
                 if mark >= 2:
                     assert lattice_index(t, node) == FgAbelianGroup.cyclic(mark), (t, node)
 
