@@ -29,17 +29,14 @@ def fga_to_json(a: FgAbelianGroup) -> dict[str, Any]:
     }
 
 
-def _json(value):
-    """The JSON form of a record: groups as objects, types as labels."""
+def _json_default(value):
+    """The JSON form of what a record holds beyond plain data: groups as
+    objects, types as labels."""
     if isinstance(value, FgAbelianGroup):
         return fga_to_json(value)
     if isinstance(value, SimpleType):
         return str(value)
-    if isinstance(value, dict):
-        return {key: _json(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _cell(value):
@@ -56,7 +53,7 @@ def _emit(fmt, lines, record, columns, out) -> None:
     """Render one command: the text layout, the record as JSON, or the
     listed columns as CSV with one row per table row."""
     if fmt == "json":
-        json.dump(_json(record), out, indent=2)
+        json.dump(record, out, indent=2, default=_json_default)
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")

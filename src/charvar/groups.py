@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import CharvarError
@@ -77,11 +77,11 @@ class FgAbelianGroup:
         """Normalize an arbitrary list of cyclic orders to invariant factors:
         the i-th largest factor is the product of each prime's i-th largest power."""
         per_prime: dict[int, list[int]] = defaultdict(list)
-        for m in moduli:
+        for m, count in Counter(moduli).items():
             if m <= 0:
                 raise CharvarError(f"invalid cyclic order {m}")
             for p, e in _factorize(m).items():
-                per_prime[p].append(p**e)
+                per_prime[p] += [p**e] * count
         factors = [1] * max(map(len, per_prime.values()), default=0)
         for powers in per_prime.values():
             powers.sort(reverse=True)
@@ -104,8 +104,10 @@ class FgAbelianGroup:
             raise CharvarError("negative power")
         if not self.known:
             return FgAbelianGroup.unknown()
-        return FgAbelianGroup.from_torsion(
-            list(self.invariant_factors) * n, free_rank=self.free_rank * n
+        # each factor repeated n times in place is still a divisibility chain
+        return FgAbelianGroup(
+            free_rank=self.free_rank * n,
+            invariant_factors=tuple(d for d in self.invariant_factors for _ in range(n)),
         )
 
     def order(self) -> int | None:

@@ -1,9 +1,9 @@
 """Homotopy groups of simple and reductive Lie groups and of the good locus.
 
 Exceptional values are shipped as an explicit data table with per-entry
-provenance; classical families are answered from Bott stable ranges plus
-the tabulated unstable pi_5 values.  Everything outside that coverage is
-the Unknown group, never a guess.
+provenance; classical families are answered from Bott's table inside the
+stable range of each family's fibration G_n -> G_{n+1} -> sphere.
+Everything outside that coverage is the Unknown group, never a guess.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ class HomotopyDatabase:
         return None
 
 
+# Normalising a cyclic order factorises it by trial division up to its square
+# root, so a database modulus above this ceiling is refused.
+MAX_MODULUS = 10**9
+
+
 def load_database(path) -> HomotopyDatabase:
     """Parse the flat-text format `type iso k free_rank torsion_csv provenance`."""
     entries: dict[tuple[SimpleType, str, int], FgAbelianGroup] = {}
@@ -65,6 +70,10 @@ def load_database(path) -> HomotopyDatabase:
                 group = FgAbelianGroup.unknown()
             else:
                 torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
+                if torsion and max(torsion) > MAX_MODULUS:
+                    raise CharvarError(
+                        f"torsion modulus {max(torsion)} is above the ceiling {MAX_MODULUS}"
+                    )
                 group = FgAbelianGroup.from_torsion(torsion, free_rank=int(free_text))
         except (ValueError, CharvarError) as exc:
             raise CharvarError(f"database line {lineno}: {exc}") from None
@@ -88,42 +97,18 @@ def default_database() -> HomotopyDatabase:
         return load_database(path)
 
 
-def _bott_stable_limit(t: SimpleType) -> int:
-    return {
-        "A": 2 * t.rank,
-        "B": 2 * t.rank - 3,
-        "C": 4 * t.rank + 1,
-        "D": 2 * t.rank - 4,
-    }[t.family]
+# pi_k of the stable groups U, O and Sp, indexed by k mod 8 (Bott 1959);
+# D_n reads the O row with B_n.
+_0, _Z, _Z2 = FgAbelianGroup.trivial(), FgAbelianGroup.free(1), FgAbelianGroup.cyclic(2)
+_BOTT = {
+    "A": (_0, _Z, _0, _Z, _0, _Z, _0, _Z),
+    "B": (_Z2, _Z2, _0, _Z, _0, _0, _0, _Z),
+    "C": (_0, _0, _0, _Z, _Z2, _Z2, _0, _Z),
+}
 
 
 def _bott_stable_value(family: str, k: int) -> FgAbelianGroup:
-    m = k % 8
-    if family == "A":
-        return FgAbelianGroup.free(1) if k % 2 else FgAbelianGroup.trivial()
-    if family in ("B", "D"):
-        if m in (0, 1):
-            return FgAbelianGroup.cyclic(2)
-        return FgAbelianGroup.free(1) if m in (3, 7) else FgAbelianGroup.trivial()
-    # family C
-    if m in (3, 7):
-        return FgAbelianGroup.free(1)
-    return FgAbelianGroup.cyclic(2) if m in (4, 5) else FgAbelianGroup.trivial()
-
-
-def _pi4_is_z2(t: SimpleType) -> bool:
-    # sp(2n) types, counting the B2 = C2 coincidence under its canonical name
-    return t == SimpleType("A", 1) or t.family == "C" or t == SimpleType("B", 2)
-
-
-def _pi5(t: SimpleType) -> FgAbelianGroup:
-    if t.family == "A":
-        return FgAbelianGroup.cyclic(2) if t.rank == 1 else FgAbelianGroup.free(1)
-    if t.family == "B":
-        return FgAbelianGroup.cyclic(2) if t.rank == 2 else FgAbelianGroup.trivial()
-    if t.family == "C":
-        return FgAbelianGroup.cyclic(2)
-    return FgAbelianGroup.trivial()  # D_n, n >= 4
+    return _BOTT["B" if family == "D" else family][k % 8]
 
 
 def pi_simple(
@@ -145,17 +130,14 @@ def pi_simple(
         db = db or default_database()
         found = db.lookup(t, iso, k)
         return found if found is not None else FgAbelianGroup.unknown()
-    if k == 2:
-        return FgAbelianGroup.trivial()
-    if k == 3:
-        return FgAbelianGroup.free(1)
-    if k == 4:
-        return FgAbelianGroup.cyclic(2) if _pi4_is_z2(t) else FgAbelianGroup.trivial()
-    if k == 5:
-        return _pi5(t)
-    if k <= _bott_stable_limit(t):
-        return _bott_stable_value(t.family, k)
-    return FgAbelianGroup.unknown()
+    # SU(2) = Sp(1) and Spin(5) = Sp(2) are read along the symplectic chain
+    n = t.rank
+    family = "C" if (t.family, n) in (("A", 1), ("B", 2)) else t.family
+    # G_m -> G_{m+1} -> sphere keeps pi_k stable for k <= 2m-1 on SU(m),
+    # k <= m-2 on Spin(m) and k <= 4m+1 on Sp(m) (Steenrod, Topology of
+    # Fibre Bundles, sec. 25); A_n is SU(n+1), B_n Spin(2n+1), D_n Spin(2n).
+    limit = {"A": 2 * n + 1, "B": 2 * n - 1, "C": 4 * n + 1, "D": 2 * n - 2}[family]
+    return _bott_stable_value(family, k) if k <= limit else FgAbelianGroup.unknown()
 
 
 class Validity(enum.Enum):

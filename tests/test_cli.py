@@ -49,6 +49,12 @@ class TestJsonSchema:
         obj = fga_to_json(FgAbelianGroup.cyclic(4))
         assert obj == {"free_rank": 0, "torsion": [4], "known": True}
 
+    def test_unsupported_value_is_refused(self):
+        from charvar.cli import _json_default
+
+        with pytest.raises(TypeError):
+            _json_default(object())
+
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", TRANSCRIPTS)
@@ -235,6 +241,28 @@ class TestExitCodes:
         code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
         assert code == 1 and not out
         assert err.startswith("error: database line 1: ")
+
+    def test_database_modulus_ceiling_exit_1(self, tmp_path):
+        # 2**61 - 1 is prime; trial division to its square root would hang
+        db = tmp_path / "pi.txt"
+        db.write_text("G2 any 6 0 2305843009213693951 x\n")
+        t0 = time.perf_counter()
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        elapsed = time.perf_counter() - t0
+        assert code == 1 and not out
+        assert err.startswith("error: database line 1: ") and err.count("\n") == 1
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    def test_large_power_of_database_modulus(self, tmp_path):
+        db = tmp_path / "pi.txt"
+        db.write_text("G2 any 6 0 999999937 x\nG2 any 5 0 - x\n")
+        t0 = time.perf_counter()
+        code, out, _ = invoke("homotopy", "G2", "-r", "2000", "-k", "6", "--db", str(db),
+                              "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(out)["value"]["torsion"] == [999999937] * 2000
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
 
     def test_homology_support_ceiling_exit_1(self):
         # M = 3 * 10**11 - 4 is refused before the support is built

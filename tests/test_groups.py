@@ -92,6 +92,12 @@ class TestFgAbelianGroup:
         assert a.invariant_factors == (2,) * 3000 + (6,) * 3000 + (12,) * 6000
         assert elapsed < 1.0, f"{elapsed:.2f}s"
 
+    @given(fga, st.integers(min_value=0, max_value=6))
+    def test_power_repeats_each_factor_in_place(self, a, n):
+        assert a.power(n) == FgAbelianGroup.from_torsion(
+            list(a.invariant_factors) * n, free_rank=a.free_rank * n
+        )
+
     @given(fga, st.integers(min_value=0, max_value=4))
     def test_power_is_iterated_sum(self, a, n):
         acc = FgAbelianGroup.trivial()

@@ -74,11 +74,32 @@ class TestPiSimpleStable:
         assert pi_simple(T("D7"), SC, 10) == ZERO
 
     def test_unknown_outside_coverage(self):
-        assert pi_simple(T("A1"), SC, 6) == UNKNOWN
-        assert pi_simple(T("A2"), SC, 7) == UNKNOWN
-        assert pi_simple(T("B4"), SC, 6) == UNKNOWN
-        assert pi_simple(T("D4"), SC, 6) == UNKNOWN
-        assert pi_simple(T("C3"), SC, 14) == UNKNOWN
+        # the first degree past each chain's stable range is not Bott's value
+        for name, k in [
+            ("A1", 6),   # pi_6(S^3) = Z_12
+            ("A2", 6),   # pi_6(SU(3)) = Z_6
+            ("A2", 7),
+            ("B2", 10),  # pi_10(Sp(2)) = Z_120
+            ("B4", 8),   # pi_8(Spin(9)) = Z_2^2
+            ("D4", 7),   # pi_7(Spin(8)) = Z^2
+            ("C3", 14),
+        ]:
+            for iso in (SC, AD):
+                assert pi_simple(T(name), iso, k) == UNKNOWN, (name, iso, k)
+
+    # Entered from Mimura-Toda (Topology of Lie Groups, 1991) and Kervaire
+    # (Non-stable homotopy groups of spheres and of classical groups, 1960),
+    # not from the stable rule.
+    @pytest.mark.parametrize("name, k, want", [
+        *[("B2", k, w) for k, w in zip(range(4, 10), (Z2, Z2, ZERO, Z, ZERO, ZERO))],
+        ("A3", 6, ZERO), ("A3", 7, Z),
+        ("B4", 6, ZERO), ("B4", 7, Z),
+        ("D4", 6, ZERO),
+        ("B5", 8, Z2), ("B5", 9, Z2),
+    ])
+    def test_reference_values(self, name, k, want):
+        for iso in (SC, AD):
+            assert pi_simple(T(name), iso, k) == want, (name, iso, k)
 
     def test_isogeny_irrelevant_for_k_ge_2(self):
         for k in range(2, 10):
@@ -167,6 +188,17 @@ class TestExceptionalDatabase:
         path = tmp_path / "bad.txt"
         path.write_text("# header\n" + text + "\n")
         with pytest.raises(CharvarError, match=r"^database line 2: "):
+            load_database(path)
+
+    def test_modulus_ceiling(self, tmp_path):
+        from charvar.homotopy import MAX_MODULUS
+
+        assert MAX_MODULUS == 10**9
+        path = tmp_path / "pi.txt"
+        path.write_text("G2 any 6 0 999999937 largest prime below the ceiling\n")
+        assert pi_simple(T("G2"), SC, 6, load_database(path)) == FgAbelianGroup.cyclic(999999937)
+        path.write_text(f"G2 any 6 0 2,{MAX_MODULUS + 1} one past the ceiling\n")
+        with pytest.raises(CharvarError, match=r"^database line 1: torsion modulus"):
             load_database(path)
 
     def test_not_utf8(self, tmp_path):
