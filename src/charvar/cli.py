@@ -73,7 +73,7 @@ def _cmd_table_levi(args):
     rows = [{"k": rec.node, "derived_type": rec.derived_type,
              "levi_dim": rec.levi_dim, "codim": rec.codim}
             for rec in subalg.levi_table(t)]
-    record = {"type": t, "rows": rows, "min_codim": min(row["codim"] for row in rows)}
+    record = {"type": t, "rows": rows, "min_codim": subalg.min_levi_codim(t)}
     lines = [f"Levi subalgebras of maximal parabolics of {t} (dim {dimension(t)})"]
     lines += [f"  k={row['k']}  [{_cell(row['derived_type'])}]  codim {row['codim']}"
               for row in rows]
@@ -86,7 +86,7 @@ def _cmd_table_bds(args):
     rows = [{"k": rec.node, "mark": rec.mark, "bds_type": rec.bds_type,
              "codim": rec.codim, "index_group": rec.index_group}
             for rec in subalg.bds_table(t)]
-    mmin = min((row["codim"] for row in rows), default=None)
+    mmin = subalg.min_bds_codim(t)
     record = {"type": t, "rows": rows, "min_codim": mmin}
     lines = [f"Maximal Borel-de Siebenthal subalgebras of {t}"]
     lines += [f"  k={row['k']}  mark {row['mark']}  [{_cell(row['bds_type'])}]"

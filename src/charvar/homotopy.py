@@ -47,6 +47,7 @@ def load_database(path) -> HomotopyDatabase:
     """Parse the flat-text format `type iso k free_rank torsion_csv provenance`."""
     entries: dict[tuple[SimpleType, str, int], FgAbelianGroup] = {}
     provenance: dict[tuple[SimpleType, str, int], str] = {}
+    first_line: dict[tuple[SimpleType, str, int], int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -84,6 +85,9 @@ def load_database(path) -> HomotopyDatabase:
         if k == 3 and group.known and group != FgAbelianGroup.free(1):
             raise CharvarError(f"database line {lineno}: pi_3 of a simple group is Z")
         key = (t, iso, k)
+        if first_line.setdefault(key, lineno) != lineno:
+            raise CharvarError(f"database line {lineno}: duplicate of line {first_line[key]}"
+                               f" ({t} {iso} k={k})")
         entries[key] = group
         provenance[key] = prov
     return HomotopyDatabase(entries, provenance)

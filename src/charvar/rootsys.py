@@ -96,22 +96,17 @@ class DynkinEdge:
 
 @dataclass(frozen=True)
 class DynkinDiagram:
-    """A disjoint union of Dynkin diagram components, optionally marked.
-
-    ``marks`` maps node ids to the coefficient of that node's simple root
-    in the highest root (affine node marked 1).
-    """
+    """A disjoint union of Dynkin diagram components."""
 
     nodes: tuple[int, ...]
     edges: tuple[DynkinEdge, ...]
-    marks: Optional[dict[int, int]] = None
 
     def without_node(self, k: int) -> "DynkinDiagram":
         if k not in self.nodes:
             raise CharvarError(f"node {k} not in diagram")
         nodes = tuple(n for n in self.nodes if n != k)
         edges = tuple(e for e in self.edges if k not in (e.i, e.j))
-        return DynkinDiagram(nodes, edges, None)
+        return DynkinDiagram(nodes, edges)
 
 
 def _chain_edges(ids: Iterable[int]) -> list[DynkinEdge]:
@@ -120,7 +115,7 @@ def _chain_edges(ids: Iterable[int]) -> list[DynkinEdge]:
 
 
 def diagram_of(t: SimpleType) -> DynkinDiagram:
-    """The (unextended, unmarked) Dynkin diagram of a simple type."""
+    """The (unextended) Dynkin diagram of a simple type."""
     r = t.rank
     nodes = tuple(range(1, r + 1))
     if t.family == "A":
@@ -270,8 +265,7 @@ def extended_diagram(t: SimpleType) -> DynkinDiagram:
         affine = [DynkinEdge(0, 1, 2, short=1)]
     else:  # a single bond: to node 1 for E7 and F4, node 8 for E8, else node 2
         affine = [DynkinEdge(0, {("E", 7): 1, ("E", 8): 8, ("F", 4): 1}.get((t.family, n), 2))]
-    node_marks = dict(enumerate(highest_root(t), start=1)) | {0: 1}
-    return DynkinDiagram((0,) + base.nodes, base.edges + tuple(affine), node_marks)
+    return DynkinDiagram((0,) + base.nodes, base.edges + tuple(affine))
 
 
 def _components(

@@ -4,10 +4,17 @@ Levi subalgebras of maximal parabolics (delete one node of the Dynkin
 diagram) and maximal Borel-de Siebenthal subalgebras (delete a node of
 mark >= 2 from the extended diagram), with codimensions and, for the
 full-rank case, the lattice index group.
+
+Every number is read off grading(t, k) = (c_1, ..., c_m), the positive
+roots counted by their coefficient at the deleted node k of mark m.  The
+Levi codim is 2 * (c_1 + ... + c_m), the BdS codim 2 * (c_1 + ... + c_{m-1})
+(Borel-de Siebenthal 1949; Bourbaki, Lie Groups ch. VI, plates); diagram
+classification only names the derived types.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CharvarError
@@ -18,7 +25,7 @@ from .rootsys import (
     diagram_of,
     dimension,
     extended_diagram,
-    highest_root,
+    grading,
 )
 
 
@@ -43,43 +50,41 @@ class BdSRecord:
     index_group: FgAbelianGroup
 
 
+def _levi_codims(t: SimpleType) -> Iterator[int]:
+    """Per node, 2 * (c_1 + ... + c_m)."""
+    return (2 * sum(grading(t, k)) for k in range(1, t.rank + 1))
+
+
+def _bds_nodes(t: SimpleType) -> Iterator[tuple[int, int, int]]:
+    """(node, mark m, codim 2 * (c_1 + ... + c_{m-1})) per node of mark m >= 2."""
+    gradings = ((k, grading(t, k)) for k in range(1, t.rank + 1))
+    return ((k, len(c), 2 * sum(c[:-1])) for k, c in gradings if len(c) >= 2)
+
+
 def levi_table(t: SimpleType) -> list[LeviRecord]:
-    """One record per deleted node; the Levi is the components plus a GL1."""
+    """One record per deleted node, codim 2 * (c_1 + ... + c_m); the Levi is
+    the derived type plus a GL1."""
     d = diagram_of(t)
     dim_g = dimension(t)
-    records = []
-    for k in range(1, t.rank + 1):
-        comps = tuple(classify_diagram(d.without_node(k)))
-        levi_dim = sum(dimension(c) for c in comps) + 1
-        records.append(LeviRecord(k, comps, levi_dim, dim_g - levi_dim))
-    return records
+    return [LeviRecord(k, tuple(classify_diagram(d.without_node(k))), dim_g - codim, codim)
+            for k, codim in enumerate(_levi_codims(t), start=1)]
 
 
 def min_levi_codim(t: SimpleType) -> int:
-    return min(rec.codim for rec in levi_table(t))
+    return min(_levi_codims(t))
 
 
 def bds_table(t: SimpleType) -> list[BdSRecord]:
-    """One record per node of mark >= 2 in the extended diagram.
-
-    Empty for family A, whose marks are all 1.
-    """
+    """One record per node of mark m >= 2 in the extended diagram, codim
+    2 * (c_1 + ... + c_{m-1}); empty for family A, whose marks are all 1."""
     ext = extended_diagram(t)
-    dim_g = dimension(t)
-    records = []
-    for k in range(1, t.rank + 1):
-        mark = ext.marks[k]
-        if mark < 2:
-            continue
-        comps = tuple(classify_diagram(ext.without_node(k)))
-        codim = dim_g - sum(dimension(c) for c in comps)
-        records.append(BdSRecord(k, mark, comps, codim, lattice_index(t, k)))
-    return records
+    return [BdSRecord(k, mark, tuple(classify_diagram(ext.without_node(k))), codim,
+                      lattice_index(t, k))
+            for k, mark, codim in _bds_nodes(t)]
 
 
 def min_bds_codim(t: SimpleType) -> int | None:
-    table = bds_table(t)
-    return min(rec.codim for rec in table) if table else None
+    return min((codim for _, _, codim in _bds_nodes(t)), default=None)
 
 
 def lattice_index(t: SimpleType, k: int) -> FgAbelianGroup:
@@ -89,11 +94,7 @@ def lattice_index(t: SimpleType, k: int) -> FgAbelianGroup:
     lowest root -theta.  Modulo the simple roots e_j (j != k), theta reduces
     to theta_k * e_k, so the quotient is cyclic of order the mark theta_k.
     """
-    if not 1 <= k <= t.rank:
-        raise CharvarError(f"node {k} out of range for {t}")
-    theta = highest_root(t)
-    if theta[k - 1] < 2:
-        raise CharvarError(
-            f"node {k} of {t} has mark {theta[k - 1]}; the subsystem lattice is full"
-        )
-    return FgAbelianGroup.cyclic(theta[k - 1])
+    mark = len(grading(t, k))
+    if mark < 2:
+        raise CharvarError(f"node {k} of {t} has mark {mark}; the subsystem lattice is full")
+    return FgAbelianGroup.cyclic(mark)

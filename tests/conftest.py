@@ -9,23 +9,37 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 ACCEPTANCE_REPORT: list[str] = []
 
 
-@pytest.fixture
-def no_enumeration(monkeypatch):
-    """Root enumeration and the Cartan matrix raise, at every binding in
-    charvar: the runtime paths read closed forms only."""
-    from charvar import rootsys
+def _refuse_at_run_time(monkeypatch, *funcs):
+    """Make each function raise, at every binding in charvar."""
 
     def refuse(name):
         def refused(*args, **kwargs):
             raise AssertionError(f"{name} reached at run time")
         return refused
 
-    forbidden = {id(f): f.__name__ for f in (rootsys.positive_roots, rootsys.cartan_matrix)}
+    forbidden = {id(f): f.__name__ for f in funcs}
     modules = [m for n, m in sys.modules.items() if n == "charvar" or n.startswith("charvar.")]
     for module in modules:
         for attr, value in list(vars(module).items()):
             if id(value) in forbidden:
                 monkeypatch.setattr(module, attr, refuse(forbidden[id(value)]))
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Root enumeration and the Cartan matrix raise: the runtime paths read
+    closed forms only."""
+    from charvar import rootsys
+
+    _refuse_at_run_time(monkeypatch, rootsys.positive_roots, rootsys.cartan_matrix)
+
+
+@pytest.fixture
+def no_classification(monkeypatch):
+    """Diagram classification raises: what runs under it reads no derived type."""
+    from charvar import rootsys
+
+    _refuse_at_run_time(monkeypatch, rootsys.classify_diagram)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -242,6 +242,14 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: database line 1: ")
 
+    def test_duplicate_database_key_exit_1(self, tmp_path):
+        db = tmp_path / "pi.txt"
+        db.write_text("G2 any 6 0 3 Mimura\nG2 any 6 0 5 typo\n")
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        assert code == 1 and not out
+        assert err.startswith("error: database line 2: duplicate of line 1 ")
+        assert err.count("error:") == 1 and err.count("\n") == 1
+
     def test_database_modulus_ceiling_exit_1(self, tmp_path):
         # 2**61 - 1 is prime; trial division to its square root would hang
         db = tmp_path / "pi.txt"

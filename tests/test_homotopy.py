@@ -201,6 +201,17 @@ class TestExceptionalDatabase:
         with pytest.raises(CharvarError, match=r"^database line 1: torsion modulus"):
             load_database(path)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "pi.txt"
+        path.write_text("G2 any 6 0 3 Mimura\nG2 any 6 0 5 typo\n")
+        with pytest.raises(CharvarError, match=r"^database line 2: duplicate of line 1 "):
+            load_database(path)
+        # a specific isogeny next to 'any' is legal: lookup prefers it
+        path.write_text("E6 any 10 0 7 x\nE6 ad 10 0 5 y\n")
+        db = load_database(path)
+        assert pi_simple(T("E6"), SC, 10, db) == FgAbelianGroup.cyclic(7)
+        assert pi_simple(T("E6"), AD, 10, db) == FgAbelianGroup.cyclic(5)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"E6 any 6 0 - caf\xff\n")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from charvar import (
@@ -14,7 +16,7 @@ from charvar import (
 )
 
 import golden_tables as g
-from golden_tables import T, types
+from golden_tables import ALL_TYPES, T, types, types_up_to
 from snf import smith_normal_form
 
 
@@ -160,3 +162,42 @@ class TestLatticeIndex:
     def test_bad_node_rejected(self):
         with pytest.raises(CharvarError):
             lattice_index(T("E6"), 7)
+
+
+class TestGradingSums:
+    @pytest.mark.parametrize("t", types_up_to(40), ids=str)
+    def test_tables_match_classified_pieces(self, t):
+        # the oracle is the piece-by-piece sum: the Levi is the derived type
+        # plus a GL1, the BdS subalgebra is the pieces alone
+        dim_g = dimension(t)
+        levi = levi_table(t)
+        for rec in levi:
+            assert rec.codim == dim_g - 1 - sum(dimension(c) for c in rec.derived_type), rec
+        bds = bds_table(t)
+        for rec in bds:
+            assert rec.codim == dim_g - sum(dimension(c) for c in rec.bds_type), rec
+        assert [(rec.node, rec.mark) for rec in bds] == [
+            (k, m) for k, m in enumerate(highest_root(t), start=1) if m >= 2]
+        assert min_levi_codim(t) == min(rec.codim for rec in levi)
+        assert min_bds_codim(t) == min((rec.codim for rec in bds), default=None)
+
+    def test_minima_read_no_classification(self, no_classification):
+        with pytest.raises(AssertionError, match="classify_diagram"):
+            levi_table(T("A2"))
+        for t in ALL_TYPES:
+            if t.family in "EFG":
+                levi, bds = g.MIN_LEVI_EXCEPTIONAL[str(t)], g.MIN_BDS_EXCEPTIONAL[str(t)]
+            else:
+                levi = g.min_levi_classical(t.family, t.rank)
+                bds = g.min_bds_classical(t.family, t.rank)
+            assert (min_levi_codim(t), min_bds_codim(t)) == (levi, bds), t
+
+    @pytest.mark.parametrize("name", ["A2000", "D2000"])
+    def test_minima_at_large_rank(self, name):
+        t = T(name)
+        t0 = time.perf_counter()
+        got = min_levi_codim(t), min_bds_codim(t)
+        elapsed = time.perf_counter() - t0
+        assert got == (g.min_levi_classical(t.family, t.rank),
+                       g.min_bds_classical(t.family, t.rank))
+        assert elapsed < 1.0, f"{name} minima took {elapsed:.2f}s"
