@@ -49,12 +49,22 @@ def _cell(value):
     return value
 
 
+# JSON is written about this many characters at a time, not token by token.
+_WRITE_SIZE = 1 << 20
+
+
 def _emit(fmt, lines, record, columns, out) -> None:
     """Render one command: the text layout, the record as JSON, or the
     listed columns as CSV with one row per table row."""
     if fmt == "json":
-        json.dump(record, out, indent=2, default=_json_default)
-        out.write("\n")
+        chunks, size = [], 0
+        for chunk in json.JSONEncoder(indent=2, default=_json_default).iterencode(record):
+            chunks.append(chunk)
+            size += len(chunk)
+            if size >= _WRITE_SIZE:
+                out.write("".join(chunks))
+                chunks, size = [], 0
+        out.write("".join(chunks) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
@@ -151,7 +161,7 @@ def _cmd_local_model(args):
     w = localmodel.parabolic_weights(t, args.node, args.free_rank)
     singular = localmodel.is_topologically_singular(w)
     m = w.positive_weight_total() - 1
-    support = sorted(localmodel.homology_support(m).dims)
+    support = list(localmodel.homology_support(m).dims)
     sphere_like = localmodel.is_sphere_like(m)
     weights = {n: w.d[n] for n in sorted(w.d)}
     record = {"type": t, "node": args.node, "r": args.free_rank, "weights": weights,

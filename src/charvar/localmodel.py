@@ -7,13 +7,15 @@ the cone point.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import CharvarError
 from .rootsys import SimpleType, grading
 
-# Largest M for which the link's homology support (2M + 2 degrees) is built.
+# Largest M for which a homology support is given: it bounds the degree list
+# the CLI prints (2M + 2 numbers), not the support itself.
 MAX_M = 10**6
 
 
@@ -50,23 +52,54 @@ def is_topologically_singular(w: WeightProfile) -> bool:
     return w.positive_weight_total() > 1
 
 
+class Degrees(Set):
+    """The degrees {0, 2, ..., 2M} and {2M+1, 2M+3, ..., 4M+1} as a read-only
+    set that holds only M.  It equals, and hashes like, the frozenset of the
+    same degrees; iteration is ascending."""
+
+    __slots__ = ("M",)
+
+    def __init__(self, M: int):
+        self.M = M
+
+    def __len__(self) -> int:
+        return 2 * self.M + 2
+
+    def __contains__(self, q) -> bool:
+        M = self.M
+        return isinstance(q, int) and 0 <= q <= 4 * M + 1 and (q % 2 == 0) == (q <= 2 * M)
+
+    def __iter__(self):
+        M = self.M
+        return chain(range(0, 2 * M + 1, 2), range(2 * M + 1, 4 * M + 2, 2))
+
+    def __repr__(self) -> str:
+        return f"Degrees({self.M})"
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        """Set operators (`dims - {q}`, `dims | other`) give a frozenset."""
+        return frozenset(it)
+
+
 @dataclass(frozen=True)
 class HomologySupport:
     M: int
-    dims: frozenset[int]
+    dims: Degrees
 
 
 def homology_support(M: int) -> HomologySupport:
     """Degrees with nonzero rational homology of the link for weight space
     dimension M + 1 on each side: {0, 2, ..., 2M} and {2M+1, 2M+3, ..., 4M+1}.
-    M above MAX_M is refused before anything is built.
+    The support holds only M; M above MAX_M is refused.
     """
     if M < 0:
         raise CharvarError("M must be nonnegative")
     if M > MAX_M:
         raise CharvarError(f"M = {M} is above the ceiling {MAX_M} for a homology support")
-    evens, odds = range(0, 2 * M + 1, 2), range(2 * M + 1, 4 * M + 2, 2)
-    return HomologySupport(M, frozenset(chain(evens, odds)))
+    return HomologySupport(M, Degrees(M))
 
 
 def is_sphere_like(M: int) -> bool:

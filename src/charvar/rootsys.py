@@ -17,6 +17,8 @@ from typing import Iterable, Optional
 from .errors import CharvarError
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4}
+# Largest rank of a classical type: marks and gradings are lists of n entries.
+MAX_RANK = 10**4
 _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 _EXCEPTIONAL_DIMENSIONS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
 # Per node, how many positive roots have coefficient 1, 2, ..., mark there.
@@ -61,6 +63,8 @@ class SimpleType:
                 raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
         elif self.rank < _RANK_BOUNDS[self.family]:
             raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
+        elif self.rank > MAX_RANK:
+            raise CharvarError(f"rank of {self.family} is above the ceiling {MAX_RANK}")
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from charvar import FgAbelianGroup, localmodel, subalg
 from charvar.cli import fga_to_json, run
+from charvar.rootsys import MAX_RANK
 
 import golden_tables as g
 
@@ -38,6 +40,15 @@ TRANSCRIPTS = {
 }
 
 
+# sha256 of `local-model A1 -i 1 -r 100002` (M = 10**5, 200002 degrees) in each
+# format: byte-identity at a size the transcripts above do not reach.
+LARGE_LOCAL_MODEL = {
+    "text": "e62d54aa2c137b0325a0cac70cdf3080f47705ac85772e908ea4b544f812462e",
+    "json": "6a241b6b963052fa29ce78616933a1ac62665ac40bdf73aaae0d3735b4799da8",
+    "csv": "720677c30e60cf64c7a014ec3f4d48541271f98e577a224af6e1ccc3d32eb7ac",
+}
+
+
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out, err)
@@ -62,6 +73,13 @@ def test_transcript(name, fmt, no_enumeration):
     code, out, err = invoke(*TRANSCRIPTS[name], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_large_local_model_digest(fmt):
+    code, out, err = invoke("local-model", "A1", "-i", "1", "-r", "100002", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_LOCAL_MODEL[fmt]
 
 
 class TestComputedOnce:
@@ -277,6 +295,16 @@ class TestExitCodes:
         code, out, err = invoke("local-model", "A3", "-i", "1", "-r", "100000000000")
         assert code == 1 and not out
         assert err.startswith("error: M = ") and err.count("\n") == 1
+
+    def test_rank_ceiling_exit_1(self):
+        assert invoke("roots", f"A{MAX_RANK}", "--format", "json")[0] == 0
+        for argv in [("roots", f"A{MAX_RANK + 1}"), ("table-levi", f"D{MAX_RANK + 1}"),
+                     ("roots", "A" + "1" * 2200),
+                     ("local-model", "A100000000000", "-i", "1", "-r", "2"),
+                     ("ci", f"T^1 x A{MAX_RANK + 1}[sc]")]:
+            code, out, err = invoke(*argv)
+            assert code == 1 and not out, argv[:2]
+            assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
 
     @pytest.mark.parametrize("argv", [("roots", "A²"), ("roots", "A" + "1" * 4400),
                                       ("ci", "T^" + "1" * 4400 + " x A1")],

@@ -1,3 +1,6 @@
+import collections.abc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,9 +107,31 @@ class TestHomologySupport:
     @given(st.integers(min_value=0, max_value=60))
     def test_shape(self, M):
         dims = homology_support(M).dims
-        assert type(dims) is frozenset
         assert len(dims) == 2 * (M + 1)
         assert min(dims) == 0 and max(dims) == 4 * M + 1  # top degree: a manifold link
+
+    @given(st.integers(min_value=0, max_value=60))
+    def test_two_progressions_as_a_set(self, M):
+        # a read-only set that equals, and hashes like, the frozenset of its
+        # degrees, iterates in ascending order and answers membership exactly
+        dims = homology_support(M).dims
+        oracle = oracle_support(M)
+        assert isinstance(dims, collections.abc.Set)
+        assert dims == frozenset(oracle) and hash(dims) == hash(frozenset(dims))
+        listed = list(dims)
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+        assert all((q in dims) == (q in oracle) for q in range(-3, 4 * M + 4))
+
+    def test_constant_cost(self):
+        # nothing that grows with M is built, even at the ceiling
+        tracemalloc.start()
+        try:
+            support = homology_support(MAX_M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert support.M == MAX_M and len(support.dims) == 2 * MAX_M + 2
+        assert peak < 4096, f"homology_support(MAX_M) allocated {peak} bytes"
 
     def test_sphere_like(self):
         assert is_sphere_like(0)

@@ -18,11 +18,12 @@ from charvar import (
     extended_diagram,
     highest_root,
     levi_table,
+    min_levi_codim,
     parabolic_weights,
     pi_simple,
     positive_roots,
 )
-from charvar.rootsys import grading
+from charvar.rootsys import MAX_RANK, grading
 
 from golden_tables import ALL_TYPES, T, types_up_to
 
@@ -63,6 +64,19 @@ class TestSimpleType:
     def test_invalid_rejected(self, bad):
         with pytest.raises(CharvarError):
             SimpleType.parse(bad)
+
+    def test_rank_ceiling(self):
+        for family in "ABCD":
+            assert SimpleType(family, MAX_RANK).rank == MAX_RANK
+            with pytest.raises(CharvarError, match="ceiling"):
+                SimpleType(family, MAX_RANK + 1)
+        with pytest.raises(CharvarError, match="ceiling"):
+            SimpleType.parse(f"C{MAX_RANK + 1}")
+
+    def test_absurd_rank_refused_at_once(self):
+        # without the ceiling the minimum walks 10**11 nodes, one grading each
+        with pytest.raises(CharvarError, match="ceiling"):
+            min_levi_codim(SimpleType("A", 10**11))
 
     def test_ordering(self):
         assert T("A5") < T("B2") < T("E6") < T("E7")
