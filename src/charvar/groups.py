@@ -66,7 +66,9 @@ class FgAbelianGroup:
 
     @classmethod
     def cyclic(cls, m: int) -> "FgAbelianGroup":
-        return cls.from_torsion([m])
+        if m <= 0:
+            raise CharvarError(f"invalid cyclic order {m}")
+        return cls(invariant_factors=(m,) if m > 1 else ())
 
     @classmethod
     def unknown(cls) -> "FgAbelianGroup":

@@ -41,6 +41,9 @@ class HomotopyDatabase:
 # Normalising a cyclic order factorises it by trial division up to its square
 # root, so a database modulus above this ceiling is refused.
 MAX_MODULUS = 10**9
+# pi_k(G)^r repeats each invariant factor of pi_k(G) r times, and the answer
+# is built and printed in full, so r times that count is bounded.
+MAX_FACTORS = 2 * 10**5
 
 
 def load_database(path) -> HomotopyDatabase:
@@ -195,6 +198,10 @@ def good_locus_homotopy(
     if k == 0:
         return HomotopyResult(FgAbelianGroup.trivial(), validity, "pi_0 = 0")
     pik = pi_group(g, k, db)
+    factors = r * len(pik.invariant_factors)
+    if factors > MAX_FACTORS:
+        raise CharvarError(f"pi_{k}(G)^{r} has {factors} invariant factors,"
+                           f" above the ceiling {MAX_FACTORS}")
     pg = pi_group(g.adjoint(), k - 1, db)
     value = pik.power(r).direct_sum(pg)
     trace = f"pi_{k}(G)^{r} + pi_{k - 1}(PG) = ({pik})^{r} + ({pg})"

@@ -8,8 +8,10 @@ full-rank case, the lattice index group.
 Every number is read off grading(t, k) = (c_1, ..., c_m), the positive
 roots counted by their coefficient at the deleted node k of mark m.  The
 Levi codim is 2 * (c_1 + ... + c_m), the BdS codim 2 * (c_1 + ... + c_{m-1})
-(Borel-de Siebenthal 1949; Bourbaki, Lie Groups ch. VI, plates); diagram
-classification only names the derived types.
+(Borel-de Siebenthal 1949; Bourbaki, Lie Groups ch. VI, plates).  The derived
+types are `rootsys.subsystem_types`, the chain rule read off the same plates:
+A_{k-1} + X_{n-k} for a Levi, D_k + B_{n-k}, C_k + C_{n-k} or D_k + D_{n-k}
+for a Borel-de Siebenthal subalgebra.  No diagram is built or classified.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from dataclasses import dataclass
 
 from .errors import CharvarError
 from .groups import FgAbelianGroup
-from .rootsys import (
-    SimpleType,
-    classify_diagram,
-    diagram_of,
-    dimension,
-    extended_diagram,
-    grading,
-)
+from .rootsys import SimpleType, dimension, grading, subsystem_types
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,8 @@ def _bds_nodes(t: SimpleType) -> Iterator[tuple[int, int, int]]:
 def levi_table(t: SimpleType) -> list[LeviRecord]:
     """One record per deleted node, codim 2 * (c_1 + ... + c_m); the Levi is
     the derived type plus a GL1."""
-    d = diagram_of(t)
     dim_g = dimension(t)
-    return [LeviRecord(k, tuple(classify_diagram(d.without_node(k))), dim_g - codim, codim)
+    return [LeviRecord(k, subsystem_types(t, k), dim_g - codim, codim)
             for k, codim in enumerate(_levi_codims(t), start=1)]
 
 
@@ -77,9 +71,7 @@ def min_levi_codim(t: SimpleType) -> int:
 def bds_table(t: SimpleType) -> list[BdSRecord]:
     """One record per node of mark m >= 2 in the extended diagram, codim
     2 * (c_1 + ... + c_{m-1}); empty for family A, whose marks are all 1."""
-    ext = extended_diagram(t)
-    return [BdSRecord(k, mark, tuple(classify_diagram(ext.without_node(k))), codim,
-                      lattice_index(t, k))
+    return [BdSRecord(k, mark, subsystem_types(t, k, extended=True), codim, lattice_index(t, k))
             for k, mark, codim in _bds_nodes(t)]
 
 

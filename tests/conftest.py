@@ -36,10 +36,12 @@ def no_enumeration(monkeypatch):
 
 @pytest.fixture
 def no_classification(monkeypatch):
-    """Diagram classification raises: what runs under it reads no derived type."""
+    """Building and classifying diagrams raise: what runs under it names
+    derived types by the chain rule."""
     from charvar import rootsys
 
-    _refuse_at_run_time(monkeypatch, rootsys.classify_diagram)
+    _refuse_at_run_time(monkeypatch, rootsys.classify_diagram, rootsys.diagram_of,
+                        rootsys.extended_diagram)
 
 
 def pytest_terminal_summary(terminalreporter):

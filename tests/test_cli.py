@@ -12,6 +12,7 @@ import pytest
 
 from charvar import FgAbelianGroup, localmodel, subalg
 from charvar.cli import fga_to_json, run
+from charvar.homotopy import MAX_FACTORS
 from charvar.rootsys import MAX_RANK
 
 import golden_tables as g
@@ -69,7 +70,7 @@ class TestJsonSchema:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", TRANSCRIPTS)
-def test_transcript(name, fmt, no_enumeration):
+def test_transcript(name, fmt, no_enumeration, no_classification):
     code, out, err = invoke(*TRANSCRIPTS[name], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
@@ -208,6 +209,18 @@ class TestQueries:
         assert code == 0 and out
         assert elapsed < 1.0, f"{' '.join(argv)} took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", [(cmd, f"{family}{MAX_RANK}")
+                                      for cmd in ("table-levi", "table-bds") for family in "CD"],
+                             ids="_".join)
+    def test_tables_at_rank_ceiling(self, argv, fmt):
+        # each derived type is a chain rule, so a table is linear in the rank
+        t0 = time.perf_counter()
+        code, out, err = invoke(*argv, "--format", fmt)
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "") and out
+        assert elapsed < 1.0, f"{' '.join(argv)} --format {fmt} took {elapsed:.2f}s"
+
 
 def override_db(path, torsion):
     # an override replaces the default database wholly, so k - 1 must be
@@ -295,6 +308,24 @@ class TestExitCodes:
         code, out, err = invoke("local-model", "A3", "-i", "1", "-r", "100000000000")
         assert code == 1 and not out
         assert err.startswith("error: M = ") and err.count("\n") == 1
+
+    def test_good_locus_at_factor_ceiling(self):
+        # pi_1(PSU(2))^r = (Z_2)^r is built and printed in full at the ceiling
+        t0 = time.perf_counter()
+        code, out, err = invoke("homotopy", "A1[ad]", "-r", str(MAX_FACTORS), "-k", "1",
+                                "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"]["torsion"] == [2] * MAX_FACTORS
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("spec,r", [("A1[ad]", MAX_FACTORS + 1),
+                                        ("A1[ad] x A1[ad]", MAX_FACTORS // 2 + 1),
+                                        ("A1[ad]", 10**8)])
+    def test_good_locus_factor_ceiling_exit_1(self, spec, r):
+        code, out, err = invoke("homotopy", spec, "-r", str(r), "-k", "1")
+        assert code == 1 and not out
+        assert err.startswith("error: pi_1(G)^") and err.count("\n") == 1
 
     def test_rank_ceiling_exit_1(self):
         assert invoke("roots", f"A{MAX_RANK}", "--format", "json")[0] == 0

@@ -52,6 +52,15 @@ class TestFgAbelianGroup:
         assert u.power(4) == u
         assert u.order() is None
 
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_cyclic_matches_from_torsion(self, m):
+        assert FgAbelianGroup.cyclic(m) == FgAbelianGroup.from_torsion([m])
+
+    def test_cyclic_rejects_nonpositive_order(self):
+        for m in (0, -3):
+            with pytest.raises(CharvarError, match="invalid cyclic order"):
+                FgAbelianGroup.cyclic(m)
+
     def test_power(self):
         assert FgAbelianGroup.cyclic(2).power(3).invariant_factors == (2, 2, 2)
         assert FgAbelianGroup.free(1).power(0) == FgAbelianGroup.trivial()

@@ -23,7 +23,7 @@ from charvar import (
     pi_simple,
     positive_roots,
 )
-from charvar.rootsys import MAX_RANK, grading
+from charvar.rootsys import MAX_RANK, canonical_pieces, grading, subsystem_types
 
 from golden_tables import ALL_TYPES, T, types_up_to
 
@@ -270,8 +270,33 @@ class TestExtended:
         assert classify_diagram(extf.without_node(4)) == [T("B4")]
 
 
+class TestSubsystemTypes:
+    def test_canonical_pieces(self):
+        assert canonical_pieces("B", 0) == ()
+        assert canonical_pieces("B", 1) == canonical_pieces("C", 1) == (T("A1"),)
+        assert canonical_pieces("C", 2) == (T("B2"),)
+        assert canonical_pieces("D", 2) == (T("A1"), T("A1"))
+        assert canonical_pieces("D", 3) == (T("A3"),)
+        assert canonical_pieces("D", 4) == (T("D4"),)
+
+    @pytest.mark.parametrize("t", types_up_to(40), ids=str)
+    def test_mark_one_deletion_from_extended_diagram_leaves_the_type(self, t):
+        # the tables delete only nodes of mark >= 2 from the extended diagram
+        ext = extended_diagram(t)
+        for k, mark in enumerate(highest_root(t), start=1):
+            if mark == 1:
+                assert subsystem_types(t, k, extended=True) == (t,)
+                assert classify_diagram(ext.without_node(k)) == [t], (t, k)
+
+    def test_bad_node_rejected(self):
+        for t, k in [(T("E6"), 0), (T("E6"), 7), (T("D5"), 6)]:
+            for extended in (False, True):
+                with pytest.raises(CharvarError, match="out of range"):
+                    subsystem_types(t, k, extended=extended)
+
+
 class TestRuntimePaths:
-    def test_library_reads_closed_forms_only(self, no_enumeration):
+    def test_library_reads_closed_forms_only(self, no_enumeration, no_classification):
         for t in ALL_TYPES:
             levi_table(t)
             bds_table(t)

@@ -6,7 +6,10 @@ from charvar import (
     CharvarError,
     FgAbelianGroup,
     bds_table,
+    classify_diagram,
+    diagram_of,
     dimension,
+    extended_diagram,
     highest_root,
     lattice_index,
     levi_table,
@@ -182,8 +185,8 @@ class TestGradingSums:
         assert min_bds_codim(t) == min((rec.codim for rec in bds), default=None)
 
     def test_minima_read_no_classification(self, no_classification):
-        with pytest.raises(AssertionError, match="classify_diagram"):
-            levi_table(T("A2"))
+        # the tables name their derived types by the chain rule, so neither
+        # they nor the minima build or classify a diagram
         for t in ALL_TYPES:
             if t.family in "EFG":
                 levi, bds = g.MIN_LEVI_EXCEPTIONAL[str(t)], g.MIN_BDS_EXCEPTIONAL[str(t)]
@@ -191,6 +194,18 @@ class TestGradingSums:
                 levi = g.min_levi_classical(t.family, t.rank)
                 bds = g.min_bds_classical(t.family, t.rank)
             assert (min_levi_codim(t), min_bds_codim(t)) == (levi, bds), t
+            assert min(rec.codim for rec in levi_table(t)) == levi, t
+            assert min((rec.codim for rec in bds_table(t)), default=None) == bds, t
+
+    @pytest.mark.parametrize("t", types_up_to(40), ids=str)
+    def test_derived_types_match_classified_diagrams(self, t):
+        # the oracle deletes the node from the diagram (extended for BdS)
+        # and classifies what is left
+        d, ext = diagram_of(t), extended_diagram(t)
+        for rec in levi_table(t):
+            assert rec.derived_type == tuple(classify_diagram(d.without_node(rec.node))), rec
+        for rec in bds_table(t):
+            assert rec.bds_type == tuple(classify_diagram(ext.without_node(rec.node))), rec
 
     @pytest.mark.parametrize("name", ["A2000", "D2000"])
     def test_minima_at_large_rank(self, name):
