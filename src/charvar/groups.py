@@ -35,10 +35,75 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+# A primary form: for each prime p, the number of cyclic summands Z_{p^e}
+# for each exponent e, every count positive.
+Primary = dict[int, dict[int, int]]
+
+# CPython refuses to print an int of more than 4300 decimal digits, and an
+# answer is printed in full, so an invariant factor built from a primary form
+# has at most this many bits (2^14000 has 4215 digits).
+MAX_FACTOR_BITS = 14_000
+
+
+def _primary_of(moduli: Counter) -> Primary:
+    """Primary form of the sum of `count` copies of Z_m over `moduli`;
+    each distinct modulus is factorised once."""
+    primary: Primary = {}
+    for m, count in moduli.items():
+        if m <= 0:
+            raise CharvarError(f"invalid cyclic order {m}")
+        for p, e in _factorize(m).items():
+            counts = primary.setdefault(p, {})
+            counts[e] = counts.get(e, 0) + count
+    return primary
+
+
+def _invariant_factors(primary: Primary) -> tuple[int, ...]:
+    """d_1 | d_2 | ... of a primary form, built one run of equal factors at a time.
+
+    The i-th largest factor is the product of each prime's i-th largest
+    power.  A prime's power drops only at the slot where its count for one
+    exponent runs out, so the factors are constant between those slots.
+    """
+    largest = 1
+    drops: dict[int, int] = defaultdict(lambda: 1)  # slot -> what the factor loses there
+    for p, counts in primary.items():
+        exponents = sorted(counts, reverse=True)
+        largest *= p ** exponents[0]
+        slot = 0
+        for e, lower in zip(exponents, exponents[1:] + [0]):
+            slot += counts[e]
+            drops[slot] *= p ** (e - lower)
+    if largest.bit_length() > MAX_FACTOR_BITS:
+        raise CharvarError(f"an invariant factor of {largest.bit_length()} bits is above"
+                           f" the ceiling of {MAX_FACTOR_BITS} bits")
+    runs = []  # (factor, how many), largest first
+    factor, start = largest, 0
+    for slot in sorted(drops):
+        runs.append((factor, slot - start))
+        factor, start = factor // drops[slot], slot
+    factors: list[int] = []
+    below = 1
+    for factor, n in reversed(runs):
+        if factor < 2:
+            raise CharvarError("invariant factors must be >= 2")
+        if factor % below:
+            raise CharvarError(f"not a divisibility chain: {below}, {factor}")
+        factors += [factor] * n
+        below = factor
+    return tuple(factors)
+
+
 @dataclass(frozen=True)
 class FgAbelianGroup:
-    """Finitely generated abelian group in invariant-factor normal form.
+    """Finitely generated abelian group, printed in invariant-factor form.
 
+    A group built by `from_torsion`, `direct_sum` or `power` is stored as its
+    free rank plus its primary form, a count of summands Z_{p^e} for each
+    prime power: sums add the counts and powers multiply them, so an order
+    is factorised once, where it enters.  `invariant_factors` (d_1 | d_2 |
+    ...) is derived from the counts.  A group built from its fields (the
+    constructor, `cyclic`) derives its primary form on first use.
     ``known=False`` is the Unknown marker; it absorbs direct sums.
     """
 
@@ -55,6 +120,25 @@ class FgAbelianGroup:
                     raise CharvarError(f"not a divisibility chain: {self.invariant_factors}")
             if any(d < 2 for d in self.invariant_factors):
                 raise CharvarError("invariant factors must be >= 2")
+
+    @classmethod
+    def _from_primary(cls, free_rank: int, primary: Primary) -> "FgAbelianGroup":
+        """Z^free_rank plus the primary form; `_invariant_factors` checks the
+        chain, so `__post_init__` is not run."""
+        if free_rank < 0:
+            raise CharvarError("negative free rank")
+        group = cls.__new__(cls)
+        for name, value in (("free_rank", free_rank), ("known", True), ("_primary", primary),
+                            ("invariant_factors", _invariant_factors(primary))):
+            object.__setattr__(group, name, value)
+        return group
+
+    def _primary_form(self) -> Primary:
+        primary = self.__dict__.get("_primary")
+        if primary is None:
+            primary = _primary_of(Counter(self.invariant_factors))
+            object.__setattr__(self, "_primary", primary)
+        return primary
 
     @classmethod
     def trivial(cls) -> "FgAbelianGroup":
@@ -76,41 +160,36 @@ class FgAbelianGroup:
 
     @classmethod
     def from_torsion(cls, moduli, free_rank: int = 0) -> "FgAbelianGroup":
-        """Normalize an arbitrary list of cyclic orders to invariant factors:
-        the i-th largest factor is the product of each prime's i-th largest power."""
-        per_prime: dict[int, list[int]] = defaultdict(list)
-        for m, count in Counter(moduli).items():
-            if m <= 0:
-                raise CharvarError(f"invalid cyclic order {m}")
-            for p, e in _factorize(m).items():
-                per_prime[p] += [p**e] * count
-        factors = [1] * max(map(len, per_prime.values()), default=0)
-        for powers in per_prime.values():
-            powers.sort(reverse=True)
-            for slot, q in enumerate(powers):
-                factors[slot] *= q
-        return cls(free_rank=free_rank, invariant_factors=tuple(reversed(factors)))
+        """Normalize an arbitrary list of cyclic orders to invariant factors."""
+        return cls._from_primary(free_rank, _primary_of(Counter(moduli)))
 
     def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
         """The direct sum of this group and any number of others."""
         summands = (self, *others)
         if not all(a.known for a in summands):
             return FgAbelianGroup.unknown()
-        return FgAbelianGroup.from_torsion(
-            [d for a in summands for d in a.invariant_factors],
-            free_rank=sum(a.free_rank for a in summands),
-        )
+        total: Primary = {}
+        for a in summands:
+            for p, counts in a._primary_form().items():
+                mine = total.get(p)
+                if mine is None:
+                    total[p] = dict(counts)
+                else:
+                    for e, count in counts.items():
+                        mine[e] = mine.get(e, 0) + count
+        return FgAbelianGroup._from_primary(sum(a.free_rank for a in summands), total)
 
     def power(self, n: int) -> "FgAbelianGroup":
         if n < 0:
             raise CharvarError("negative power")
         if not self.known:
             return FgAbelianGroup.unknown()
-        # each factor repeated n times in place is still a divisibility chain
-        return FgAbelianGroup(
-            free_rank=self.free_rank * n,
-            invariant_factors=tuple(d for d in self.invariant_factors for _ in range(n)),
-        )
+        if n == 0:
+            return FgAbelianGroup.trivial()
+        return FgAbelianGroup._from_primary(self.free_rank * n, {
+            p: {e: count * n for e, count in counts.items()}
+            for p, counts in self._primary_form().items()
+        })
 
     def order(self) -> int | None:
         """Group order, or None when infinite or unknown."""

@@ -46,11 +46,23 @@ MAX_MODULUS = 10**9
 MAX_FACTORS = 2 * 10**5
 
 
+def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
+    if free_text == "?":
+        return FgAbelianGroup.unknown()
+    torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
+    if torsion and max(torsion) > MAX_MODULUS:
+        raise CharvarError(f"torsion modulus {max(torsion)} is above the ceiling {MAX_MODULUS}")
+    return FgAbelianGroup.from_torsion(torsion, free_rank=int(free_text))
+
+
 def load_database(path) -> HomotopyDatabase:
     """Parse the flat-text format `type iso k free_rank torsion_csv provenance`."""
     entries: dict[tuple[SimpleType, str, int], FgAbelianGroup] = {}
     provenance: dict[tuple[SimpleType, str, int], str] = {}
     first_line: dict[tuple[SimpleType, str, int], int] = {}
+    # each distinct label and group text is parsed once, on its first line
+    types: dict[str, SimpleType] = {}
+    groups: dict[tuple[str, str], FgAbelianGroup] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -68,17 +80,13 @@ def load_database(path) -> HomotopyDatabase:
         if iso not in ("sc", "ad", "any"):
             raise CharvarError(f"database line {lineno}: bad isogeny {iso!r}")
         try:
-            t = SimpleType.parse(type_text)
+            t = types.get(type_text)
+            if t is None:
+                t = types[type_text] = SimpleType.parse(type_text)
             k = int(k_text)
-            if free_text == "?":
-                group = FgAbelianGroup.unknown()
-            else:
-                torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
-                if torsion and max(torsion) > MAX_MODULUS:
-                    raise CharvarError(
-                        f"torsion modulus {max(torsion)} is above the ceiling {MAX_MODULUS}"
-                    )
-                group = FgAbelianGroup.from_torsion(torsion, free_rank=int(free_text))
+            group = groups.get((free_text, torsion_text))
+            if group is None:
+                group = groups[free_text, torsion_text] = _parse_group_field(free_text, torsion_text)
         except (ValueError, CharvarError) as exc:
             raise CharvarError(f"database line {lineno}: {exc}") from None
         if k < 2:

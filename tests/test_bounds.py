@@ -11,10 +11,13 @@ from charvar import (
     codim_red_lower,
     codim_report,
     parse_group,
+    min_bds_codim,
+    min_levi_codim,
     stable_range,
 )
+from charvar.rootsys import SimpleType
 
-from golden_tables import ALL_TYPES
+from golden_tables import ALL_TYPES, types_up_to
 
 descriptors = st.builds(
     lambda torus, names: parse_group(
@@ -104,3 +107,17 @@ class TestSingularLocus:
         rep = classify_singular_locus(g, r)
         assert isinstance(rep.verdict, Verdict)
         assert rep.statements
+
+
+class TestBoundsAgainstTables:
+    @pytest.mark.parametrize("t", types_up_to(40) + [
+        SimpleType(f, n) for f in "ABCD" for n in (9998, 9999, 10000)], ids=str)
+    def test_bad_bound_below_both_minima(self, t):
+        # at r = 2 the bad-locus bound of a simple group is 2 * rank; the
+        # subalgebra tables give the Levi and BdS minima it must not exceed
+        bound = codim_bad_lower(parse_group(str(t)), 2)
+        assert bound == 2 * t.rank
+        levi, bds = min_levi_codim(t), min_bds_codim(t)
+        assert bound <= levi and (bound == levi) == (t.family == "A")
+        if bds is not None:
+            assert bound <= bds and (bound == bds) == (t.family == "B")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -302,6 +303,32 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["value"]["torsion"] == [999999937] * 2000
         assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    def test_product_of_two_database_primes(self, tmp_path):
+        # the invariant factor 99999989 * 99999971 is about 10^16; nothing
+        # after the load factorises it again
+        db = tmp_path / "pi.txt"
+        db.write_text("G2 any 6 0 99999989,99999971 x\nG2 any 5 0 - x\n")
+        factor = 99999989 * 99999971
+        t0 = time.perf_counter()
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "")
+        assert f"  value:    Z_{factor} + Z_{factor}\n" in out
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_invariant_factor_too_long_to_print_exit_1(self, tmp_path, fmt):
+        # the product of the 2262 primes below 20000 has 8602 digits, past
+        # the 4300 digits an int may have when printed
+        primes = [p for p in range(2, 20000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        db = tmp_path / "pi.txt"
+        db.write_text(f"G2 any 6 0 {','.join(map(str, primes))} x\nG2 any 5 0 - x\n")
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db),
+                                "--format", fmt)
+        assert code == 1 and not out
+        assert err.startswith("error: database line 1: an invariant factor of ")
+        assert "ceiling of 14000 bits" in err and err.count("\n") == 1
 
     def test_homology_support_ceiling_exit_1(self):
         # M = 3 * 10**11 - 4 is refused before the support is built

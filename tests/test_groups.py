@@ -12,6 +12,7 @@ from charvar import (
     GroupDescriptor,
     Isogeny,
     center_group,
+    groups,
     is_ci,
     min_simple_rank,
     parse_group,
@@ -19,11 +20,26 @@ from charvar import (
 )
 
 from golden_tables import T, types_up_to
+from slot_fill import slot_fill
 from snf import smith_normal_form
 
 small_torsion = st.lists(st.integers(min_value=1, max_value=64), max_size=5)
+moduli = st.lists(st.integers(min_value=1, max_value=10**4), max_size=7)
 fga = st.builds(lambda tors, free: FgAbelianGroup.from_torsion(tors, free_rank=free),
                 small_torsion, st.integers(min_value=0, max_value=3))
+
+
+def snf_factors(ms):
+    """Invariant factors of the sum of Z_m over ms, by the Smith normal form."""
+    diag = [[m if i == j else 0 for j in range(len(ms))] for i, m in enumerate(ms)]
+    return tuple(d for d in smith_normal_form(diag) if d > 1)
+
+
+def built(ms, free, from_fields):
+    """The group Z^free + sum of Z_m, from its counts or from its fields."""
+    if from_fields:
+        return FgAbelianGroup(free_rank=free, invariant_factors=slot_fill(ms))
+    return FgAbelianGroup.from_torsion(ms, free_rank=free)
 
 
 class TestFgAbelianGroup:
@@ -88,11 +104,11 @@ class TestFgAbelianGroup:
         assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
         assert a.direct_sum(b, c) == a.direct_sum(b).direct_sum(c)
 
-    @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6))
-    def test_from_torsion_matches_smith_normal_form(self, ms):
-        diag = [[m if i == j else 0 for j in range(len(ms))] for i, m in enumerate(ms)]
-        want = tuple(d for d in smith_normal_form(diag) if d > 1)
-        assert FgAbelianGroup.from_torsion(ms).invariant_factors == want
+    @given(moduli, st.integers(min_value=0, max_value=3))
+    def test_from_torsion_matches_smith_normal_form(self, ms, free):
+        a = FgAbelianGroup.from_torsion(ms, free_rank=free)
+        assert a.invariant_factors == snf_factors(ms) == slot_fill(ms)
+        assert a.free_rank == free and a.known
 
     def test_from_torsion_near_linear(self):
         start = time.perf_counter()
@@ -113,6 +129,69 @@ class TestFgAbelianGroup:
         for _ in range(n):
             acc = acc.direct_sum(a)
         assert a.power(n) == acc
+
+
+class TestPrimaryForm:
+    @given(st.lists(st.tuples(moduli, st.integers(min_value=0, max_value=2), st.booleans()),
+                    min_size=1, max_size=4))
+    def test_direct_sum_matches_oracles(self, parts):
+        summands = [built(*part) for part in parts]
+        total = summands[0].direct_sum(*summands[1:])
+        everything = [m for ms, _, _ in parts for m in ms]
+        assert total.invariant_factors == slot_fill(everything)
+        if len(everything) <= 12:
+            assert total.invariant_factors == snf_factors(everything)
+        assert total.free_rank == sum(free for _, free, _ in parts)
+
+    @given(moduli, st.integers(min_value=0, max_value=2), st.booleans(),
+           st.integers(min_value=0, max_value=40))
+    def test_power_matches_oracles(self, ms, free, from_fields, n):
+        a = built(ms, free, from_fields)
+        b = a.power(n)
+        assert b.invariant_factors == slot_fill(ms * n)
+        assert b.invariant_factors == tuple(d for d in a.invariant_factors for _ in range(n))
+        if len(ms) * n <= 12:
+            assert b.invariant_factors == snf_factors(ms * n)
+        assert b.free_rank == free * n
+
+    @given(moduli, st.integers(min_value=0, max_value=3))
+    def test_same_group_either_way(self, ms, free):
+        # equality, hash, repr and str read the public fields only
+        a, b = built(ms, free, False), built(ms, free, True)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and str(a) == str(b)
+        assert a.direct_sum(b) == b.direct_sum(a) == b.power(2)
+
+    def test_sums_and_powers_never_factorize(self, monkeypatch):
+        big = FgAbelianGroup.from_torsion([99999989, 99999971, 12])
+        center = center_group(T("D6"))
+        bott = FgAbelianGroup.from_torsion([2], free_rank=1)
+
+        def refused(n):
+            raise AssertionError(f"_factorize({n}) reached after construction")
+
+        monkeypatch.setattr(groups, "_factorize", refused)
+        value = big.power(1900).direct_sum(center, bott.power(3))
+        assert value.free_rank == 3
+        assert value.invariant_factors == (2,) * 5 + (12 * 99999989 * 99999971,) * 1900
+        assert big.direct_sum(big) == big.power(2)
+        assert big.power(0) == FgAbelianGroup.trivial()
+
+    def test_factor_bit_ceiling(self):
+        assert groups.MAX_FACTOR_BITS == 14_000
+        at = FgAbelianGroup.from_torsion([2 ** (groups.MAX_FACTOR_BITS - 1)])
+        assert at.invariant_factors[0].bit_length() == groups.MAX_FACTOR_BITS
+        assert str(at).startswith("Z_")  # still printable
+        with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
+            FgAbelianGroup.from_torsion([2 ** groups.MAX_FACTOR_BITS])
+        # coprime summands multiply into one factor, so sums are checked too
+        with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
+            FgAbelianGroup.from_torsion([2**7000]).direct_sum(
+                FgAbelianGroup.from_torsion([3**5000]))
+
+    def test_negative_free_rank_refused(self):
+        with pytest.raises(CharvarError, match="negative free rank"):
+            FgAbelianGroup.from_torsion([2], free_rank=-1)
 
 
 def frac_det(m):

@@ -212,6 +212,28 @@ class TestExceptionalDatabase:
         assert pi_simple(T("E6"), SC, 10, db) == FgAbelianGroup.cyclic(7)
         assert pi_simple(T("E6"), AD, 10, db) == FgAbelianGroup.cyclic(5)
 
+    @pytest.mark.parametrize("text,error", [
+        ("G2 any 5 0 3 a\nG2 any 6 0 3 b\nG2 any 2 0 3 c\n", "line 3: pi_2 "),
+        ("G2 any 5 1 - a\nF4 any 5 1 - b\nF4 any 3 0 - c\n", "line 3: pi_3 "),
+        ("G2 any 4 1 - a\nG2 any 3 1 - b\nG2 any 3 1 - c\n", "line 3: duplicate of line 2 "),
+        ("G2 any 6 0 3 a\nG2 any 1 0 3 b\n", "line 2: k < 2 "),
+        ("G2 any 6 0 3 a\nG2 one 7 0 3 b\n", "line 2: bad isogeny "),
+        ("G2 any 6 0 3 a\nG2 any 7 0\n", "line 2: expected 5\\+ fields"),
+    ])
+    def test_repeated_text_is_checked_on_every_line(self, tmp_path, text, error):
+        # a label or group text is parsed once per load; every line is checked
+        path = tmp_path / "pi.txt"
+        path.write_text(text)
+        with pytest.raises(CharvarError, match=f"^database {error}"):
+            load_database(path)
+
+    def test_repeated_text_gives_equal_groups(self, tmp_path):
+        path = tmp_path / "pi.txt"
+        path.write_text("G2 any 8 0 2 a\nF4 any 8 0 2 b\nG2 ad 8 0 2 c\n")
+        db = load_database(path)
+        assert set(db.entries.values()) == {FgAbelianGroup.cyclic(2)}
+        assert pi_simple(T("F4"), AD, 8, db) == FgAbelianGroup.cyclic(2)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"E6 any 6 0 - caf\xff\n")
