@@ -1,7 +1,7 @@
 """Exact computational Lie theory for free-group character varieties.
 
 Subpackages:
-  rootsys    - root systems, Dynkin diagrams, classification
+  rootsys    - simple types and their root data in closed form
   groups     - reductive group descriptors, centers, CI decision
   subalg     - Levi and Borel-de Siebenthal subalgebra tables
   bounds     - codimension lower bounds and singular-locus report
@@ -48,18 +48,7 @@ from .localmodel import (
     is_topologically_singular,
     parabolic_weights,
 )
-from .rootsys import (
-    DynkinDiagram,
-    DynkinEdge,
-    SimpleType,
-    cartan_matrix,
-    classify_diagram,
-    diagram_of,
-    dimension,
-    extended_diagram,
-    highest_root,
-    positive_roots,
-)
+from .rootsys import SimpleType, dimension, highest_root
 from .subalg import (
     BdSRecord,
     LeviRecord,

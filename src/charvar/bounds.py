@@ -13,9 +13,17 @@ from .errors import CharvarError
 from .groups import GroupDescriptor, min_simple_rank
 
 
-def _require_r(r: int) -> None:
-    if r < 2:
-        raise CharvarError("bounds require free-group rank r >= 2")
+# Largest free-group rank r.  Codimensions, weights and pi_k ranks grow
+# linearly in r and are printed; 10**11 still reaches the M and factor ceilings.
+MAX_FREE_RANK = 10**12
+
+
+def _require_r(r: int, needs: str = "bounds require", least: int = 2) -> None:
+    """Every free-group rank is checked here: r >= least, r <= MAX_FREE_RANK."""
+    if r < least:
+        raise CharvarError(f"{needs} free-group rank r >= {least}")
+    if r > MAX_FREE_RANK:
+        raise CharvarError(f"free-group rank r is above the ceiling {MAX_FREE_RANK}")
 
 
 def codim_bad_lower(g: GroupDescriptor, r: int) -> int:
@@ -82,8 +90,7 @@ class SingularLocusReport:
 
 def classify_singular_locus(g: GroupDescriptor, r: int) -> SingularLocusReport:
     """Decide how much of the singular locus is classified for (g, r)."""
-    if r < 1:
-        raise CharvarError("the singular-locus classification requires free-group rank r >= 1")
+    _require_r(r, "the singular-locus classification requires", least=1)
     if g.is_abelian:
         return SingularLocusReport(
             Verdict.ABELIAN,

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import CharvarError
-from .rootsys import SimpleType, center_orders
+from .rootsys import MAX_RANK, SimpleType, center_orders
 
 
 class Isogeny(enum.Enum):
@@ -222,6 +222,8 @@ class GroupDescriptor:
     def __post_init__(self) -> None:
         if self.torus_rank < 0:
             raise CharvarError("negative torus rank")
+        if self.torus_rank > MAX_RANK:
+            raise CharvarError(f"torus rank is above the ceiling {MAX_RANK}")
 
     @property
     def semisimple_rank(self) -> int:

@@ -17,7 +17,7 @@ from typing import Optional
 from . import bounds
 from .errors import CharvarError
 from .groups import FgAbelianGroup, GroupDescriptor, Isogeny, center_group
-from .rootsys import SimpleType
+from .rootsys import MAX_RANK, SimpleType
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,10 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
     torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
     if torsion and max(torsion) > MAX_MODULUS:
         raise CharvarError(f"torsion modulus {max(torsion)} is above the ceiling {MAX_MODULUS}")
-    return FgAbelianGroup.from_torsion(torsion, free_rank=int(free_text))
+    free_rank = int(free_text)
+    if free_rank > MAX_RANK:
+        raise CharvarError(f"free rank is above the ceiling {MAX_RANK}")
+    return FgAbelianGroup.from_torsion(torsion, free_rank=free_rank)
 
 
 def load_database(path) -> HomotopyDatabase:
@@ -198,8 +201,7 @@ def good_locus_homotopy(
     The value is pi_k(G)^r + pi_{k-1}(PG); validity records whether the
     splitting is proven at this (g, r, k).
     """
-    if r < 2:
-        raise CharvarError("good-locus homotopy requires free-group rank r >= 2")
+    bounds._require_r(r, "good-locus homotopy requires")
     if k < 0:
         raise CharvarError("negative homotopy degree")
     validity = _validity(g, r, k)

@@ -11,6 +11,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from itertools import chain
 
+from .bounds import _require_r
 from .errors import CharvarError
 from .rootsys import SimpleType, grading
 
@@ -41,8 +42,7 @@ def parabolic_weights(t: SimpleType, i: int, r: int) -> WeightProfile:
     alpha_i-coefficient n (`rootsys.grading`); each negative root mirrors a
     positive one."""
     counts = grading(t, i)
-    if r < 2:
-        raise CharvarError("weight profiles require free-group rank r >= 2")
+    _require_r(r, "weight profiles require")
     d = {s * n: (r - 1) * c for n, c in enumerate(counts, start=1) for s in (1, -1)}
     return WeightProfile(d, t, i, r)
 

@@ -14,7 +14,6 @@ from charvar import (
     SimpleType,
     Validity,
     bds_table,
-    cartan_matrix,
     center_group,
     dimension,
     good_locus_homotopy,
@@ -30,10 +29,10 @@ from charvar import (
     parabolic_weights,
     parse_group,
     pi_simple,
-    positive_roots,
 )
 
 import golden_tables as g
+from diagrams import cartan_matrix, positive_roots
 from golden_tables import T, types
 
 SC = Isogeny.SIMPLY_CONNECTED

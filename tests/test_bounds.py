@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,11 +12,14 @@ from charvar import (
     codim_bad_lower,
     codim_red_lower,
     codim_report,
+    good_locus_homotopy,
+    parabolic_weights,
     parse_group,
     min_bds_codim,
     min_levi_codim,
     stable_range,
 )
+from charvar.bounds import MAX_FREE_RANK
 from charvar.rootsys import SimpleType
 
 from golden_tables import ALL_TYPES, types_up_to
@@ -52,6 +57,17 @@ class TestBounds:
         for fn in (codim_bad_lower, codim_red_lower, c_pasbon_lower, stable_range):
             with pytest.raises(CharvarError):
                 fn(parse_group("A2"), 1)
+
+    def test_r_above_ceiling_rejected(self):
+        g = parse_group("A2")
+        calls = [partial(fn, g) for fn in (codim_bad_lower, codim_red_lower, c_pasbon_lower,
+                                           stable_range, codim_report, classify_singular_locus)]
+        calls += [partial(parabolic_weights, SimpleType("A", 2), 1),
+                  partial(good_locus_homotopy, g, k=3)]
+        for call in calls:
+            call(MAX_FREE_RANK)
+            with pytest.raises(CharvarError, match="above the ceiling"):
+                call(MAX_FREE_RANK + 1)
 
     def test_report_consistency(self):
         rep = codim_report(parse_group("T^1 x B4[ad]"), 3)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,8 +11,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charvar import FgAbelianGroup, localmodel, subalg
+from charvar.bounds import MAX_FREE_RANK
 from charvar.cli import fga_to_json, run
 from charvar.homotopy import MAX_FACTORS
 from charvar.rootsys import MAX_RANK
@@ -57,6 +61,10 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# 4300 digits: the longest int Python prints; twice it is one digit longer
+NINES = "9" * 4300
+
+
 class TestJsonSchema:
     def test_keys(self):
         obj = fga_to_json(FgAbelianGroup.cyclic(4))
@@ -71,7 +79,7 @@ class TestJsonSchema:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", TRANSCRIPTS)
-def test_transcript(name, fmt, no_enumeration, no_classification):
+def test_transcript(name, fmt):
     code, out, err = invoke(*TRANSCRIPTS[name], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
@@ -356,13 +364,36 @@ class TestExitCodes:
 
     def test_rank_ceiling_exit_1(self):
         assert invoke("roots", f"A{MAX_RANK}", "--format", "json")[0] == 0
+        code, out, _ = invoke("codim", f"T^{MAX_RANK}", "-r", str(MAX_FREE_RANK),
+                              "--format", "json")
+        assert code == 0 and json.loads(out)["bad_lower"] == MAX_RANK * MAX_FREE_RANK
+        # torus ranks and r past their ceilings: the answers' numbers would
+        # pass the 4300 digits an int may have when printed
         for argv in [("roots", f"A{MAX_RANK + 1}"), ("table-levi", f"D{MAX_RANK + 1}"),
                      ("roots", "A" + "1" * 2200),
                      ("local-model", "A100000000000", "-i", "1", "-r", "2"),
-                     ("ci", f"T^1 x A{MAX_RANK + 1}[sc]")]:
+                     ("ci", f"T^1 x A{MAX_RANK + 1}[sc]"),
+                     ("codim", f"T^{MAX_RANK + 1}", "-r", "2"),
+                     ("homotopy", f"T^{NINES}", "-r", "10", "-k", "1"),
+                     ("codim", f"T^{NINES}", "-r", "10"),
+                     ("singular-locus", "E8", "-r", str(MAX_FREE_RANK + 1)),
+                     ("codim", "A1", "-r", NINES),
+                     ("local-model", "A3", "-i", "1", "-r", NINES)]:
             code, out, err = invoke(*argv)
             assert code == 1 and not out, argv[:2]
             assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
+
+    @pytest.mark.parametrize("free", [MAX_RANK, MAX_RANK + 1, int("9" * 4299)])
+    def test_database_free_rank_ceiling(self, tmp_path, free):
+        # pi_6(G2)^100 would have free rank 100 * free: 4301 digits for the last
+        db = tmp_path / "pi.txt"
+        db.write_text(f"G2 any 6 {free} - x\nG2 any 5 0 - x\n")
+        code, out, err = invoke("homotopy", "G2", "-r", "100", "-k", "6", "--db", str(db))
+        if free <= MAX_RANK:
+            assert (code, err) == (0, "") and f"Z^{100 * free}" in out
+        else:
+            assert code == 1 and not out
+            assert err == f"error: database line 1: free rank is above the ceiling {MAX_RANK}\n"
 
     @pytest.mark.parametrize("argv", [("roots", "A²"), ("roots", "A" + "1" * 4400),
                                       ("ci", "T^" + "1" * 4400 + " x A1")],
@@ -388,6 +419,49 @@ class TestExitCodes:
 
     def test_success_exit_0(self):
         assert invoke("roots", "A1")[0] == 0
+
+
+# Bounded argv fuzz over every subcommand and format: integers come from an
+# edge set around the ceilings and past the longest printable int.
+EDGE_INTS = ("-1", "0", "1", "2", "3", "10000", "10001", str(10**11), str(10**12 + 1), NINES)
+TYPE_SPECS = ("A1", "B2", "C3", "D4", "E6", "E8", "F4", "G2", "",
+              "B1", "D3", "E9", "A", "Z2", "a3", "A²") + tuple(f"D{n}" for n in EDGE_INTS)
+GROUP_SPECS = (("E8", "A1[ad]", "T^1 x A3[sc]", "T^2", "A2 x G2[ad]",
+                "", "x", "Q7", "A3[zz]", "A1 x T^1", "B1")
+               + tuple(f"T^{n}" for n in EDGE_INTS)
+               + tuple(f"T^1 x A{n}[ad]" for n in EDGE_INTS))
+# the positional argument and the integer options of each subcommand
+FUZZ_COMMANDS = {
+    "table-levi": (TYPE_SPECS, ()),
+    "table-bds": (TYPE_SPECS, ()),
+    "roots": (TYPE_SPECS, ()),
+    "local-model": (TYPE_SPECS, ("-i", "-r")),
+    "codim": (GROUP_SPECS, ("-r",)),
+    "homotopy": (GROUP_SPECS, ("-r", "-k")),
+    "ci": (GROUP_SPECS, ()),
+    "singular-locus": (GROUP_SPECS, ("-r",)),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    specs, options = FUZZ_COMMANDS[command]
+    argv = [command, draw(st.sampled_from(specs)),
+            "--format", draw(st.sampled_from(sorted(FORMATS)))]
+    for option in options:
+        argv += [option, draw(st.sampled_from(EDGE_INTS))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzz_argv())
+def test_argv_fuzz(argv):
+    with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage errors
+        code, _, err = invoke(*argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEntryPoint:

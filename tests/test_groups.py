@@ -19,6 +19,7 @@ from charvar import (
     pi_group,
 )
 
+from diagrams import cartan_matrix
 from golden_tables import T, types_up_to
 from slot_fill import slot_fill
 from snf import smith_normal_form
@@ -252,8 +253,6 @@ class TestCenter:
     def test_matches_smith_normal_form(self):
         # Z(G_sc) is the cokernel of the Cartan matrix, as a group: orders
         # alone cannot tell Z_4 from Z_2^2
-        from charvar import cartan_matrix
-
         for t in types_up_to(40):
             diag = smith_normal_form([list(r) for r in cartan_matrix(t)])
             assert center_group(t) == FgAbelianGroup.from_torsion(d for d in diag if d > 1), t
@@ -275,7 +274,8 @@ class TestDescriptor:
             g = parse_group(text)
             assert parse_group(str(g)) == g
 
-    @pytest.mark.parametrize("bad", ["", "x", "A3 x T^1", "T^1 x T^2", "A3[foo]", "H2"])
+    @pytest.mark.parametrize("bad", ["", "x", "A3 x T^1", "T^1 x T^2", "A3[foo]", "H2",
+                                     "T^10001"])
     def test_parse_errors(self, bad):
         with pytest.raises(CharvarError):
             parse_group(bad)

@@ -12,10 +12,10 @@ from charvar import (
     is_sphere_like,
     is_topologically_singular,
     parabolic_weights,
-    positive_roots,
 )
 from charvar.localmodel import MAX_M
 
+from diagrams import positive_roots
 from golden_tables import ALL_TYPES, T
 
 

@@ -6,19 +6,16 @@ from charvar import (
     CharvarError,
     FgAbelianGroup,
     bds_table,
-    classify_diagram,
-    diagram_of,
     dimension,
-    extended_diagram,
     highest_root,
     lattice_index,
     levi_table,
     min_bds_codim,
     min_levi_codim,
-    positive_roots,
 )
 
 import golden_tables as g
+from diagrams import classify_diagram, diagram_of, extended_diagram, positive_roots
 from golden_tables import ALL_TYPES, T, types, types_up_to
 from snf import smith_normal_form
 
@@ -184,7 +181,7 @@ class TestGradingSums:
         assert min_levi_codim(t) == min(rec.codim for rec in levi)
         assert min_bds_codim(t) == min((rec.codim for rec in bds), default=None)
 
-    def test_minima_read_no_classification(self, no_classification):
+    def test_minima_read_no_classification(self):
         # the tables name their derived types by the chain rule, so neither
         # they nor the minima build or classify a diagram
         for t in ALL_TYPES:
