@@ -1,9 +1,11 @@
 """Homotopy groups of simple and reductive Lie groups and of the good locus.
 
 Exceptional values are shipped as an explicit data table with per-entry
-provenance; classical families are answered from Bott's table inside the
-stable range of each family's fibration G_n -> G_{n+1} -> sphere.
-Everything outside that coverage is the Unknown group, never a guess.
+provenance, one cell per (type, k): for k >= 2 pi_k does not depend on the
+isogeny, since G_sc -> G has a finite fibre. Classical families are answered
+from Bott's table inside the stable range of each family's fibration
+G_n -> G_{n+1} -> sphere. Everything outside that coverage is the Unknown
+group, never a guess.
 """
 
 from __future__ import annotations
@@ -22,20 +24,10 @@ from .rootsys import MAX_RANK, SimpleType
 
 @dataclass(frozen=True)
 class HomotopyDatabase:
-    """pi_k values of simple groups keyed by (type, isogeny, k).
+    """pi_k values of simple groups keyed by (type, k), for k >= 2 only."""
 
-    The isogeny key 'any' covers both forms (pi_k is isogeny-independent
-    for k >= 2, which the loader enforces by refusing k < 2 entries).
-    """
-
-    entries: dict[tuple[SimpleType, str, int], FgAbelianGroup]
-    provenance: dict[tuple[SimpleType, str, int], str]
-
-    def lookup(self, t: SimpleType, iso: Isogeny, k: int) -> Optional[FgAbelianGroup]:
-        for key in ((t, iso.value, k), (t, "any", k)):
-            if key in self.entries:
-                return self.entries[key]
-        return None
+    entries: dict[tuple[SimpleType, int], FgAbelianGroup]
+    provenance: dict[tuple[SimpleType, int], str]
 
 
 # Normalising a cyclic order factorises it by trial division up to its square
@@ -59,10 +51,13 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
 
 
 def load_database(path) -> HomotopyDatabase:
-    """Parse the flat-text format `type iso k free_rank torsion_csv provenance`."""
-    entries: dict[tuple[SimpleType, str, int], FgAbelianGroup] = {}
-    provenance: dict[tuple[SimpleType, str, int], str] = {}
-    first_line: dict[tuple[SimpleType, str, int], int] = {}
+    """Parse the flat-text format `type iso k free_rank torsion_csv provenance`.
+
+    `sc`, `ad` and `any` name the same cell: one line per type and k.
+    """
+    entries: dict[tuple[SimpleType, int], FgAbelianGroup] = {}
+    provenance: dict[tuple[SimpleType, int], str] = {}
+    first_line: dict[tuple[SimpleType, int], int] = {}
     # each distinct label and group text is parsed once, on its first line
     types: dict[str, SimpleType] = {}
     groups: dict[tuple[str, str], FgAbelianGroup] = {}
@@ -98,10 +93,10 @@ def load_database(path) -> HomotopyDatabase:
             raise CharvarError(f"database line {lineno}: pi_2 of a simple group is trivial")
         if k == 3 and group.known and group != FgAbelianGroup.free(1):
             raise CharvarError(f"database line {lineno}: pi_3 of a simple group is Z")
-        key = (t, iso, k)
+        key = (t, k)
         if first_line.setdefault(key, lineno) != lineno:
             raise CharvarError(f"database line {lineno}: duplicate of line {first_line[key]}"
-                               f" ({t} {iso} k={k})")
+                               f" ({t} k={k})")
         entries[key] = group
         provenance[key] = prov
     return HomotopyDatabase(entries, provenance)
@@ -145,9 +140,7 @@ def pi_simple(
             return FgAbelianGroup.trivial()
         return center_group(t)
     if t.family in "EFG":
-        db = db or default_database()
-        found = db.lookup(t, iso, k)
-        return found if found is not None else FgAbelianGroup.unknown()
+        return (db or default_database()).entries.get((t, k), FgAbelianGroup.unknown())
     # SU(2) = Sp(1) and Spin(5) = Sp(2) are read along the symplectic chain
     n = t.rank
     family = "C" if (t.family, n) in (("A", 1), ("B", 2)) else t.family

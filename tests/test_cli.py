@@ -1,11 +1,13 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -262,6 +264,17 @@ class TestDatabaseOverride:
                               "--db", flag_db, "--format", "json")
         assert json.loads(out)["value"]["torsion"] == [7, 7]
 
+    def test_one_cell_per_type_and_k(self, tmp_path):
+        db = tmp_path / "pi.txt"
+        db.write_text("E6 any 10 0 7 x\nE6 ad 10 0 5 y\n")
+        for spec in ("E6", "E6[ad]"):
+            assert invoke("homotopy", spec, "-r", "2", "-k", "10", "--db", str(db)) == (
+                1, "", "error: database line 2: duplicate of line 1 (E6 k=10)\n")
+        db.write_text("E6 ad 10 0 5 y\nE6 any 9 0 - x\n")
+        for spec in ("E6", "E6[ad]"):
+            code, out, _ = invoke("homotopy", spec, "-r", "2", "-k", "10", "--db", str(db))
+            assert code == 0 and "value:    Z_5 + Z_5\n" in out, spec
+
 
 class TestExitCodes:
     def test_domain_errors_exit_1(self):
@@ -421,6 +434,36 @@ class TestExitCodes:
         assert invoke("roots", "A1")[0] == 0
 
 
+def test_readme_ceilings_match_code():
+    # the "Input ceilings" list spells each value as 10^e, c·10^e or digits
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Input ceilings:", 1)[1].split("\n## ", 1)[0]
+    named = {}
+    for module, name, spelled in re.findall(r"`(\w+)\.(MAX_\w+)` \(([^ ,)]+)", section):
+        c, base, e = re.fullmatch(r"(?:(\d+)·)?(\d+)(?:\^(\d+))?", spelled).groups()
+        named[name] = (getattr(importlib.import_module(f"charvar.{module}"), name),
+                       int(c or 1) * int(base) ** int(e or 1))
+    assert sorted(named) == ["MAX_FACTORS", "MAX_FACTOR_BITS", "MAX_FREE_RANK",
+                             "MAX_M", "MAX_MODULUS", "MAX_RANK"]
+    for name, (code_value, readme_value) in named.items():
+        assert code_value == readme_value, name
+
+
+# Integers are read by int(): any Unicode decimal digit, and in the integer
+# options an underscore between digits, reads as its ASCII spelling.
+@pytest.mark.parametrize("argv,ascii_argv", [
+    (("roots", "E٦"), ("roots", "E6")),
+    (("codim", "T^١ x A٣", "-r", "٣"), ("codim", "T^1 x A3", "-r", "3")),
+    (("homotopy", "E٦[ad]", "-r", "٢", "-k", "١٠"), ("homotopy", "E6[ad]", "-r", "2", "-k", "10")),
+    (("local-model", "G٢", "-i", "١", "-r", "٣"), ("local-model", "G2", "-i", "1", "-r", "3")),
+    (("codim", "A2", "-r", "1_0"), ("codim", "A2", "-r", "10")),
+], ids=["roots_type", "codim_torus_and_r", "homotopy_r_and_k", "local_model_i", "underscore"])
+def test_non_ascii_digits_read_as_ascii(argv, ascii_argv):
+    for fmt in FORMATS:
+        got = invoke(*argv, "--format", fmt)
+        assert got[0] == 0 and got == invoke(*ascii_argv, "--format", fmt), fmt
+
+
 # Bounded argv fuzz over every subcommand and format: integers come from an
 # edge set around the ceilings and past the longest printable int.
 EDGE_INTS = ("-1", "0", "1", "2", "3", "10000", "10001", str(10**11), str(10**12 + 1), NINES)
@@ -462,6 +505,40 @@ def test_argv_fuzz(argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Bounded --db fuzz: files of up to five lines, each line plausible in every
+# field or in all but one, which comes from an edge set; with few types and
+# degrees, one type and k often appears under sc, ad and any.
+DB_FIELDS = (  # (plausible, edge) values of type, iso, k, free rank, torsion
+    (("G2", "F4", "E6", "E٦"), ("A1", "Q6", "E9", "G٢٢")),
+    (("sc", "ad", "any"), ("mid", "SC", "ａｄ")),
+    (("5", "6", "9", "10", "١٠"), ("1", "2", "3", "-1", "?", "-", str(10**9 + 7), NINES)),
+    (("0", "1", "?", "٣"), ("-", "10000", "10001", str(10**9 + 7), NINES)),
+    (("-", "2", "3", "2,3", "٣", "999999937"), ("?", "0", str(10**9 + 7), NINES)),
+)
+
+
+@st.composite
+def db_line(draw):
+    edge = draw(st.sampled_from((None,) + tuple(range(len(DB_FIELDS)))))
+    return " ".join(draw(st.sampled_from(values[i == edge]))
+                    for i, values in enumerate(DB_FIELDS)) + " x"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(db_line(), max_size=5),
+       group=st.sampled_from(("G2", "F4", "E6", "E6[ad]")),
+       k=st.sampled_from(("2", "3", "6", "10")))
+def test_db_fuzz(tmp_path_factory, lines, group, k):
+    path = tmp_path_factory.getbasetemp() / "fuzz_db.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, out, err = invoke("homotopy", group, "-r", "3", "-k", k, "--db", str(path))
+    assert code in (0, 1)
+    if code == 1:
+        assert not out and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out and not err
 
 
 class TestEntryPoint:

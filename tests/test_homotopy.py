@@ -1,3 +1,6 @@
+import re
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from charvar import (
 from charvar.homotopy import default_database
 
 import golden_tables as g
+from diagrams import positive_roots
 from golden_tables import T
 
 Z = FgAbelianGroup.free(1)
@@ -129,7 +133,7 @@ class TestExceptionalDatabase:
         db = default_database()
         for name in g.ALL_EXCEPTIONAL:
             for k in range(2, 16):
-                assert db.lookup(T(name), SC, k) is not None, (name, k)
+                assert (T(name), k) in db.entries, (name, k)
 
     def test_database_has_provenance(self):
         db = default_database()
@@ -141,15 +145,13 @@ class TestExceptionalDatabase:
         db = default_database()
         path = tmp_path / "pi.txt"
         lines = []
-        for (t, iso, k), group in sorted(
-            db.entries.items(), key=lambda kv: (str(kv[0][0]), kv[0][1], kv[0][2])
-        ):
+        for (t, k), group in sorted(db.entries.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
             if not group.known:
-                fields = [str(t), iso, str(k), "?", "-"]
+                fields = [str(t), "any", str(k), "?", "-"]
             else:
                 torsion = ",".join(map(str, group.invariant_factors)) or "-"
-                fields = [str(t), iso, str(k), str(group.free_rank), torsion]
-            lines.append(" ".join(fields) + " " + (db.provenance[(t, iso, k)] or "n/a"))
+                fields = [str(t), "any", str(k), str(group.free_rank), torsion]
+            lines.append(" ".join(fields) + " " + (db.provenance[(t, k)] or "n/a"))
         path.write_text("\n".join(lines) + "\n")
         again = load_database(path)
         assert again.entries == db.entries
@@ -206,10 +208,15 @@ class TestExceptionalDatabase:
         path.write_text("G2 any 6 0 3 Mimura\nG2 any 6 0 5 typo\n")
         with pytest.raises(CharvarError, match=r"^database line 2: duplicate of line 1 "):
             load_database(path)
-        # a specific isogeny next to 'any' is legal: lookup prefers it
+        # sc, ad and any name one cell, so a second iso is a duplicate too
         path.write_text("E6 any 10 0 7 x\nE6 ad 10 0 5 y\n")
+        with pytest.raises(CharvarError,
+                           match=r"^database line 2: duplicate of line 1 \(E6 k=10\)$"):
+            load_database(path)
+        # and a lone iso-specific line answers for both isogenies
+        path.write_text("E6 ad 10 0 5 y\n")
         db = load_database(path)
-        assert pi_simple(T("E6"), SC, 10, db) == FgAbelianGroup.cyclic(7)
+        assert pi_simple(T("E6"), SC, 10, db) == FgAbelianGroup.cyclic(5)
         assert pi_simple(T("E6"), AD, 10, db) == FgAbelianGroup.cyclic(5)
 
     @pytest.mark.parametrize("text,error", [
@@ -229,7 +236,7 @@ class TestExceptionalDatabase:
 
     def test_repeated_text_gives_equal_groups(self, tmp_path):
         path = tmp_path / "pi.txt"
-        path.write_text("G2 any 8 0 2 a\nF4 any 8 0 2 b\nG2 ad 8 0 2 c\n")
+        path.write_text("G2 any 8 0 2 a\nF4 any 8 0 2 b\nE6 ad 8 0 2 c\n")
         db = load_database(path)
         assert set(db.entries.values()) == {FgAbelianGroup.cyclic(2)}
         assert pi_simple(T("F4"), AD, 8, db) == FgAbelianGroup.cyclic(2)
@@ -239,6 +246,68 @@ class TestExceptionalDatabase:
         path.write_bytes(b"E6 any 6 0 - caf\xff\n")
         with pytest.raises(CharvarError, match=r"^database .*bad\.txt: "):
             load_database(path)
+
+
+SWEEP = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+         + [f"C{n}" for n in range(3, 13)] + [f"D{n}" for n in range(4, 13)]
+         + ["E6", "E7", "E8", "F4", "G2"])
+EXCEPTIONAL_EXPONENTS = {
+    "E6": (1, 4, 5, 7, 8, 11),
+    "E7": (1, 5, 7, 9, 11, 13, 17),
+    "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+    "F4": (1, 5, 7, 11),
+    "G2": (1, 5),
+}
+
+
+def exponents(t):
+    """The exponents of a simple Lie algebra, closed form (Bourbaki plates I-IX)."""
+    n = t.rank
+    if t.family == "A":
+        return tuple(range(1, n + 1))
+    if t.family in "BC":
+        return tuple(range(1, 2 * n, 2))
+    if t.family == "D":
+        return tuple(sorted([*range(1, 2 * n - 2, 2), n - 1]))
+    return EXCEPTIONAL_EXPONENTS[str(t)]
+
+
+class TestIsogenyAndExponents:
+    """pi_k for k >= 2 is one cell per (type, k), and its free rank is the
+    number of exponents e with 2e + 1 = k (Cartan-Serre: G is rationally a
+    product of spheres S^(2e+1))."""
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_exponents_are_kostants_height_count(self, name):
+        # the number of exponents >= h is the number of positive roots of height h
+        roots = positive_roots(T(name))
+        heights = [sum(c) for c in roots]
+        exps = exponents(T(name))
+        assert len(exps) == T(name).rank
+        assert sum(exps) == len(roots)
+        for h in range(1, max(heights) + 2):
+            assert sum(e >= h for e in exps) == heights.count(h), (name, h)
+
+    @pytest.mark.parametrize("source", ["default", "ad_only"])
+    def test_isogenies_agree_and_free_rank_counts_exponents(self, tmp_path, source):
+        db = None
+        if source == "ad_only":
+            # the shipped table with every line's iso column set to ad
+            shipped = resources.files("charvar").joinpath("data/pi_exceptional.txt").read_text()
+            path = tmp_path / "pi.txt"
+            path.write_text(re.sub(r"^(\S+) any ", r"\1 ad ", shipped, flags=re.M))
+            db = load_database(path)
+        known = 0
+        for name in SWEEP:
+            t = T(name)
+            for k in range(2, 40):
+                sc, ad = pi_simple(t, SC, k, db), pi_simple(t, AD, k, db)
+                assert sc == ad, (name, k)
+                if sc.known:
+                    known += 1
+                    assert sc.free_rank == sum(2 * e + 1 == k for e in exponents(t)), (name, k)
+        # the shipped table and Bott's stable ranges: coverage may grow, never shrink
+        assert known >= 755
 
 
 class TestGoodLocus:
