@@ -53,7 +53,6 @@ from .subalg import (
     BdSRecord,
     LeviRecord,
     bds_table,
-    lattice_index,
     levi_table,
     min_bds_codim,
     min_levi_codim,

@@ -195,8 +195,6 @@ def good_locus_homotopy(
     splitting is proven at this (g, r, k).
     """
     bounds._require_r(r, "good-locus homotopy requires")
-    if k < 0:
-        raise CharvarError("negative homotopy degree")
     validity = _validity(g, r, k)
     if k == 0:
         return HomotopyResult(FgAbelianGroup.trivial(), validity, "pi_0 = 0")

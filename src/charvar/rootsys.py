@@ -1,7 +1,7 @@
 """Exact integer root-system data for the simple Lie types.
 
-The data (dimensions, marks, gradings, centers, affine nodes, the types
-left by deleting a node) are closed forms or tables from Bourbaki, Lie
+The data (dimensions, marks, gradings, centers, the types left by
+deleting a node) are closed forms or tables from Bourbaki, Lie
 Groups ch. VI, plates I-IX; nothing here enumerates roots or builds a
 Dynkin diagram (the tests check these tables against both).  Node
 numbering follows Bourbaki (A/B/C/D chains numbered left to right, the
@@ -107,21 +107,9 @@ def dimension(t: SimpleType) -> int:
 
 
 def highest_root(t: SimpleType) -> tuple[int, ...]:
-    """The unique positive root dominating all others coordinatewise.
-
-    Read off the known marks in this module's node numbering (Bourbaki,
-    Lie Groups ch. VI, plates I-IX; Humphreys section 12.2).
-    """
-    n = t.rank
-    if t.family == "A":
-        return (1,) * n
-    if t.family == "B":
-        return (1,) + (2,) * (n - 1)
-    if t.family == "C":
-        return (2,) * (n - 1) + (1,)
-    if t.family == "D":
-        return (1,) + (2,) * (n - 3) + (1, 1)
-    return tuple(map(len, _EXCEPTIONAL_GRADINGS[t.family, n]))
+    """The unique positive root dominating all others coordinatewise: its
+    coefficient at node i, the mark, is the length of grading(t, i)."""
+    return tuple(len(grading(t, i)) for i in range(1, t.rank + 1))
 
 
 def grading(t: SimpleType, i: int) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 Levi subalgebras of maximal parabolics (delete one node of the Dynkin
 diagram) and maximal Borel-de Siebenthal subalgebras (delete a node of
 mark >= 2 from the extended diagram), with codimensions and, for the
-full-rank case, the lattice index group.
+full-rank case, the index group Z_m.
 
 Every number is read off grading(t, k) = (c_1, ..., c_m), the positive
 roots counted by their coefficient at the deleted node k of mark m.  The
@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import CharvarError
 from .groups import FgAbelianGroup
 from .rootsys import SimpleType, dimension, grading, subsystem_types
 
@@ -70,23 +69,17 @@ def min_levi_codim(t: SimpleType) -> int:
 
 def bds_table(t: SimpleType) -> list[BdSRecord]:
     """One record per node of mark m >= 2 in the extended diagram, codim
-    2 * (c_1 + ... + c_{m-1}); empty for family A, whose marks are all 1."""
-    return [BdSRecord(k, mark, subsystem_types(t, k, extended=True), codim, lattice_index(t, k))
+    2 * (c_1 + ... + c_{m-1}); empty for family A, whose marks are all 1.
+
+    The index group is the root lattice modulo the subsystem lattice, which
+    the surviving simple roots and the lowest root -theta span.  Modulo the
+    simple roots e_j (j != k), theta reduces to theta_k * e_k, so the
+    quotient is Z_{theta_k}, cyclic of order the mark m."""
+    return [BdSRecord(k, mark, subsystem_types(t, k, extended=True), codim,
+                      FgAbelianGroup.cyclic(mark))
             for k, mark, codim in _bds_nodes(t)]
 
 
 def min_bds_codim(t: SimpleType) -> int | None:
     return min((codim for _, _, codim in _bds_nodes(t)), default=None)
 
-
-def lattice_index(t: SimpleType, k: int) -> FgAbelianGroup:
-    """The quotient of the root lattice by the deleted-node subsystem lattice.
-
-    The subsystem lattice is spanned by the surviving simple roots and the
-    lowest root -theta.  Modulo the simple roots e_j (j != k), theta reduces
-    to theta_k * e_k, so the quotient is cyclic of order the mark theta_k.
-    """
-    mark = len(grading(t, k))
-    if mark < 2:
-        raise CharvarError(f"node {k} of {t} has mark {mark}; the subsystem lattice is full")
-    return FgAbelianGroup.cyclic(mark)

@@ -22,7 +22,6 @@ from charvar import (
     is_ci,
     is_sphere_like,
     is_topologically_singular,
-    lattice_index,
     levi_table,
     min_bds_codim,
     min_levi_codim,
@@ -98,14 +97,15 @@ def test_criterion_2_bds_table():
 
 def test_criterion_3_lattice_indices():
     for t in g.ALL_TYPES:
-        for node, mark in enumerate(highest_root(t), start=1):
-            if mark >= 2:
-                idx = lattice_index(t, node)
-                assert idx == FgAbelianGroup.cyclic(mark), (t, node)
-                assert idx.order() == mark
-    assert lattice_index(T("G2"), 1) == FgAbelianGroup.cyclic(3)
-    assert lattice_index(T("G2"), 2) == FgAbelianGroup.cyclic(2)
-    assert lattice_index(T("E8"), 5) == FgAbelianGroup.cyclic(5)
+        groups = {rec.node: rec.index_group for rec in bds_table(t)}
+        marks = dict(enumerate(highest_root(t), start=1))
+        assert set(groups) == {node for node, mark in marks.items() if mark >= 2}, t
+        for node, idx in groups.items():
+            assert idx == FgAbelianGroup.cyclic(marks[node]), (t, node)
+            assert idx.order() == marks[node]
+    g2 = {rec.node: rec.index_group for rec in bds_table(T("G2"))}
+    assert g2 == {1: FgAbelianGroup.cyclic(3), 2: FgAbelianGroup.cyclic(2)}
+    assert {rec.node: rec.index_group for rec in bds_table(T("E8"))}[5] == FgAbelianGroup.cyclic(5)
     for rank in range(2, 13):
         for rec in bds_table(SimpleType("B", rank)):
             assert rec.index_group == FgAbelianGroup.cyclic(2)

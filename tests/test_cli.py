@@ -275,6 +275,16 @@ class TestDatabaseOverride:
             code, out, _ = invoke("homotopy", spec, "-r", "2", "-k", "10", "--db", str(db))
             assert code == 0 and "value:    Z_5 + Z_5\n" in out, spec
 
+    def test_empty_db_replaces_default(self, tmp_path):
+        db = tmp_path / "pi.txt"
+        db.write_text("# nothing\n")
+        argv = ("homotopy", "G2", "-r", "2", "-k", "6")
+        code, out, _ = invoke(*argv)
+        assert code == 0 and "value:    Z_3 + Z_3\n" in out
+        code, out, _ = invoke(*argv, "--db", str(db))
+        assert code == 0 and "value:    ?\n" in out
+        assert "= (?)^2 + (?)\n" in out
+
 
 class TestExitCodes:
     def test_domain_errors_exit_1(self):
@@ -287,6 +297,10 @@ class TestExitCodes:
             code, out, err = invoke(*argv)
             assert code == 1, argv
             assert err.startswith("error:") and not out
+
+    def test_negative_degree_exit_1(self):
+        code, out, err = invoke("homotopy", "T^2", "-r", "2", "-k", "-1")
+        assert (code, out, err) == (1, "", "error: negative homotopy degree\n")
 
     def test_malformed_database_line_exit_1(self, tmp_path):
         db = tmp_path / "pi.txt"

@@ -15,6 +15,7 @@ from charvar import (
     good_locus_homotopy,
     load_database,
     parse_group,
+    pi_group,
     pi_simple,
     stable_range,
 )
@@ -111,8 +112,15 @@ class TestPiSimpleStable:
             assert pi_simple(T("G2"), SC, k) == pi_simple(T("G2"), AD, k)
 
     def test_negative_k(self):
-        with pytest.raises(CharvarError):
+        with pytest.raises(CharvarError, match="negative homotopy degree"):
             pi_simple(T("A1"), SC, -1)
+        # a torus has no simple factor, so pi_group makes the check itself
+        for spec in ("T^3", "G2"):
+            with pytest.raises(CharvarError, match="negative homotopy degree"):
+                pi_group(parse_group(spec), -1)
+        for spec in ("T^2", "G2"):
+            with pytest.raises(CharvarError, match="negative homotopy degree"):
+                good_locus_homotopy(parse_group(spec), 2, -1)
 
 
 class TestExceptionalDatabase:
@@ -163,6 +171,12 @@ class TestExceptionalDatabase:
         assert pi_simple(T("E6"), SC, 10, db) == FgAbelianGroup.cyclic(7)
         # degrees absent from the override come back unknown
         assert pi_simple(T("E6"), SC, 9, db) == UNKNOWN
+
+    def test_empty_override_replaces_default(self, tmp_path):
+        path = tmp_path / "pi.txt"
+        path.write_text("# nothing\n")
+        assert pi_simple(T("G2"), SC, 6) == FgAbelianGroup.cyclic(3)
+        assert pi_simple(T("G2"), SC, 6, db=load_database(path)) == UNKNOWN
 
     def test_loader_validation(self, tmp_path):
         cases = [

@@ -159,6 +159,12 @@ class TestRoots:
         assert highest_root(T("B5")) == (1, 2, 2, 2, 2)
         assert highest_root(T("C5")) == (2, 2, 2, 2, 1)
         assert highest_root(T("D6")) == (1, 2, 2, 2, 1, 1)
+        # past the enumeration oracle (rank 20), Bourbaki's patterns written out
+        for n in (21, MAX_RANK):
+            assert highest_root(SimpleType("A", n)) == (1,) * n
+            assert highest_root(SimpleType("B", n)) == (1,) + (2,) * (n - 1)
+            assert highest_root(SimpleType("C", n)) == (2,) * (n - 1) + (1,)
+            assert highest_root(SimpleType("D", n)) == (1,) + (2,) * (n - 3) + (1, 1)
 
     def test_sum_of_marks(self):
         # height of the highest root is h - 1 (Coxeter number h)

@@ -3,12 +3,10 @@ import time
 import pytest
 
 from charvar import (
-    CharvarError,
     FgAbelianGroup,
     bds_table,
     dimension,
     highest_root,
-    lattice_index,
     levi_table,
     min_bds_codim,
     min_levi_codim,
@@ -124,18 +122,26 @@ class TestBdSInvariants:
 
 
 class TestLatticeIndex:
+    """The index group of each BdS row: the root lattice modulo the
+    subsystem lattice of the deleted node."""
+
+    @staticmethod
+    def index_groups(t):
+        return {rec.node: rec.index_group for rec in bds_table(t)}
+
     def test_examples(self):
-        assert lattice_index(T("G2"), 1) == FgAbelianGroup.cyclic(3)
-        assert lattice_index(T("G2"), 2) == FgAbelianGroup.cyclic(2)
-        assert lattice_index(T("E8"), 5) == FgAbelianGroup.cyclic(5)
-        assert lattice_index(T("E8"), 4) == FgAbelianGroup.cyclic(6)
-        assert lattice_index(T("F4"), 3) == FgAbelianGroup.cyclic(4)
+        assert self.index_groups(T("G2")) == {1: FgAbelianGroup.cyclic(3),
+                                              2: FgAbelianGroup.cyclic(2)}
+        assert self.index_groups(T("E8"))[5] == FgAbelianGroup.cyclic(5)
+        assert self.index_groups(T("E8"))[4] == FgAbelianGroup.cyclic(6)
+        assert self.index_groups(T("F4"))[3] == FgAbelianGroup.cyclic(4)
 
     def test_matches_smith_normal_form(self):
         # Z^r modulo the surviving simple roots and the lowest root, with
         # theta taken from the enumerated roots
         for t in g.ALL_TYPES:
             theta = max(positive_roots(t), key=sum)
+            groups = self.index_groups(t)
             for k in range(1, t.rank + 1):
                 if theta[k - 1] < 2:
                     continue
@@ -145,23 +151,16 @@ class TestLatticeIndex:
                 diag = smith_normal_form(rows)
                 assert 0 not in diag
                 want = FgAbelianGroup.from_torsion([d for d in diag if d > 1])
-                assert lattice_index(t, k) == want, (t, k)
+                assert groups[k] == want, (t, k)
 
     def test_order_equals_mark_everywhere(self):
         for t in g.ALL_TYPES:
-            for node, mark in enumerate(highest_root(t), start=1):
-                if mark >= 2:
-                    assert lattice_index(t, node) == FgAbelianGroup.cyclic(mark), (t, node)
-
-    def test_mark_one_rejected(self):
-        with pytest.raises(CharvarError, match="mark"):
-            lattice_index(T("A5"), 3)
-        with pytest.raises(CharvarError, match="mark"):
-            lattice_index(T("E6"), 1)
-
-    def test_bad_node_rejected(self):
-        with pytest.raises(CharvarError):
-            lattice_index(T("E6"), 7)
+            groups = self.index_groups(t)
+            marks = dict(enumerate(highest_root(t), start=1))
+            # the rows are exactly the nodes of mark >= 2
+            assert set(groups) == {node for node, mark in marks.items() if mark >= 2}, t
+            for node, group in groups.items():
+                assert group == FgAbelianGroup.cyclic(marks[node]), (t, node)
 
 
 class TestGradingSums:
