@@ -1,6 +1,6 @@
 """Exact computational Lie theory for free-group character varieties.
 
-Subpackages:
+Modules:
   rootsys    - simple types and their root data in closed form
   groups     - reductive group descriptors, centers, CI decision
   subalg     - Levi and Borel-de Siebenthal subalgebra tables

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from typing import Any, Optional
+from typing import Any
 
 from . import bounds, homotopy, localmodel, subalg
 from .errors import CharvarError
@@ -73,17 +73,11 @@ def _emit(fmt, lines, record, columns, out) -> None:
         out.write("\n".join(lines) + "\n")
 
 
-def _database(args) -> Optional[homotopy.HomotopyDatabase]:
-    path = getattr(args, "db", None) or os.environ.get("CHARVAR_DB")
-    return homotopy.load_database(path) if path else None
-
-
-def _cmd_table_levi(args):
-    t = SimpleType.parse(args.type)
+def _cmd_table_levi(t, args):
     rows = [{"k": rec.node, "derived_type": rec.derived_type,
              "levi_dim": rec.levi_dim, "codim": rec.codim}
             for rec in subalg.levi_table(t)]
-    record = {"type": t, "rows": rows, "min_codim": subalg.min_levi_codim(t)}
+    record = {"type": t, "rows": rows, "min_codim": min(row["codim"] for row in rows)}
     lines = [f"Levi subalgebras of maximal parabolics of {t} (dim {dimension(t)})"]
     lines += [f"  k={row['k']}  [{_cell(row['derived_type'])}]  codim {row['codim']}"
               for row in rows]
@@ -91,12 +85,11 @@ def _cmd_table_levi(args):
     return lines, record, ("k", "derived_type", "codim")
 
 
-def _cmd_table_bds(args):
-    t = SimpleType.parse(args.type)
+def _cmd_table_bds(t, args):
     rows = [{"k": rec.node, "mark": rec.mark, "bds_type": rec.bds_type,
              "codim": rec.codim, "index_group": rec.index_group}
             for rec in subalg.bds_table(t)]
-    mmin = subalg.min_bds_codim(t)
+    mmin = min((row["codim"] for row in rows), default=None)
     record = {"type": t, "rows": rows, "min_codim": mmin}
     lines = [f"Maximal Borel-de Siebenthal subalgebras of {t}"]
     lines += [f"  k={row['k']}  mark {row['mark']}  [{_cell(row['bds_type'])}]"
@@ -106,8 +99,7 @@ def _cmd_table_bds(args):
     return lines, record, ("k", "bds_type", "codim")
 
 
-def _cmd_codim(args):
-    g = parse_group(args.group)
+def _cmd_codim(g, args):
     rep = bounds.codim_report(g, args.free_rank)
     record = {
         "group": str(g), "r": rep.r, "lower_bound": True,
@@ -124,9 +116,10 @@ def _cmd_codim(args):
     return lines, record, ("group", "r", "bad_lower", "red_lower", "c_pasbon_lower", "stable_k_max")
 
 
-def _cmd_homotopy(args):
-    g = parse_group(args.group)
-    res = homotopy.good_locus_homotopy(g, args.free_rank, args.degree, _database(args))
+def _cmd_homotopy(g, args):
+    path = args.db or os.environ.get("CHARVAR_DB")
+    db = homotopy.load_database(path) if path else None
+    res = homotopy.good_locus_homotopy(g, args.free_rank, args.degree, db)
     record = {"group": str(g), "r": args.free_rank, "k": args.degree, "value": res.value,
               "validity": res.validity.value, "formula_trace": res.formula_trace}
     lines = [
@@ -138,15 +131,13 @@ def _cmd_homotopy(args):
     return lines, record, ("group", "r", "k", "value", "validity")
 
 
-def _cmd_ci(args):
-    g = parse_group(args.group)
+def _cmd_ci(g, args):
     verdict, witness = is_ci(g)
     lines = [f"CI({g}): {'true' if verdict else 'false'}", f"  {witness}"]
     return lines, {"group": str(g), "ci": verdict, "witness": witness}, ("group", "ci", "witness")
 
 
-def _cmd_singular_locus(args):
-    g = parse_group(args.group)
+def _cmd_singular_locus(g, args):
     rep = bounds.classify_singular_locus(g, args.free_rank)
     record = {"group": str(g), "r": args.free_rank,
               "verdict": rep.verdict.value, "statements": rep.statements}
@@ -156,8 +147,7 @@ def _cmd_singular_locus(args):
     return lines, record, ("group", "r", "verdict", "statements")
 
 
-def _cmd_local_model(args):
-    t = SimpleType.parse(args.type)
+def _cmd_local_model(t, args):
     w = localmodel.parabolic_weights(t, args.node, args.free_rank)
     singular = localmodel.is_topologically_singular(w)
     m = w.positive_weight_total() - 1
@@ -175,8 +165,7 @@ def _cmd_local_model(args):
     return lines, record, ("type", "node", "r", "singular", "M")
 
 
-def _cmd_roots(args):
-    t = SimpleType.parse(args.type)
+def _cmd_roots(t, args):
     dim = dimension(t)
     record = {"type": t, "positive_roots": (dim - t.rank) // 2,
               "dimension": dim, "marks": highest_root(t)}
@@ -196,14 +185,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **needs):
+    # each subcommand's positional is a simple type or a group spec, read once
+    subjects = {"type": (SimpleType.parse, "simple type, e.g. E8 or B5"),
+                "group": (parse_group, "group spec, e.g. 'T^1 x A3[sc]'")}
+
+    def add(name, func, subject, **needs):
+        parse, example = subjects[subject]
         p = sub.add_parser(name)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parse=parse)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        if needs.get("type"):
-            p.add_argument("type", help="simple type, e.g. E8 or B5")
-        if needs.get("group"):
-            p.add_argument("group", help="group spec, e.g. 'T^1 x A3[sc]'")
+        p.add_argument("subject", metavar=subject, help=example)
         if needs.get("r"):
             p.add_argument("-r", "--free-rank", type=int, required=True)
         if needs.get("k"):
@@ -212,16 +203,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-i", "--node", type=int, required=True)
         if needs.get("db"):
             p.add_argument("--db", help="homotopy database override (or CHARVAR_DB)")
-        return p
 
-    add("table-levi", _cmd_table_levi, type=True)
-    add("table-bds", _cmd_table_bds, type=True)
-    add("codim", _cmd_codim, group=True, r=True)
-    add("homotopy", _cmd_homotopy, group=True, r=True, k=True, db=True)
-    add("ci", _cmd_ci, group=True)
-    add("singular-locus", _cmd_singular_locus, group=True, r=True)
-    add("local-model", _cmd_local_model, type=True, node=True, r=True)
-    add("roots", _cmd_roots, type=True)
+    add("table-levi", _cmd_table_levi, "type")
+    add("table-bds", _cmd_table_bds, "type")
+    add("codim", _cmd_codim, "group", r=True)
+    add("homotopy", _cmd_homotopy, "group", r=True, k=True, db=True)
+    add("ci", _cmd_ci, "group")
+    add("singular-locus", _cmd_singular_locus, "group", r=True)
+    add("local-model", _cmd_local_model, "type", node=True, r=True)
+    add("roots", _cmd_roots, "type")
     return parser
 
 
@@ -234,7 +224,7 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _emit(args.format, *args.func(args), out)
+        _emit(args.format, *args.func(args.parse(args.subject), args), out)
     except (CharvarError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1

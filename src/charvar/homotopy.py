@@ -36,10 +36,14 @@ MAX_MODULUS = 10**9
 # pi_k(G)^r repeats each invariant factor of pi_k(G) r times, and the answer
 # is built and printed in full, so r times that count is bounded.
 MAX_FACTORS = 2 * 10**5
+# A database file is read whole before it is parsed, so its length is bounded.
+MAX_DB_CHARS = 10**6
 
 
 def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
     if free_text == "?":
+        if torsion_text not in ("?", "-"):
+            raise CharvarError(f"torsion {torsion_text!r} after an unknown free rank: use ? or -")
         return FgAbelianGroup.unknown()
     torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
     if torsion and max(torsion) > MAX_MODULUS:
@@ -53,7 +57,9 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
 def load_database(path) -> HomotopyDatabase:
     """Parse the flat-text format `type iso k free_rank torsion_csv provenance`.
 
-    `sc`, `ad` and `any` name the same cell: one line per type and k.
+    Only E6-E8, F4 and G2 are stored: classical types are answered from
+    Bott's table.  `sc`, `ad` and `any` name the same cell: one line per
+    type and k.
     """
     entries: dict[tuple[SimpleType, int], FgAbelianGroup] = {}
     provenance: dict[tuple[SimpleType, int], str] = {}
@@ -63,42 +69,44 @@ def load_database(path) -> HomotopyDatabase:
     groups: dict[tuple[str, str], FgAbelianGroup] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_DB_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise CharvarError(f"database {path}: {exc}") from None
+    if len(text) > MAX_DB_CHARS:
+        raise CharvarError(f"database {path}: longer than the ceiling of {MAX_DB_CHARS} characters")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(None, 5)
-        if len(parts) < 5:
-            raise CharvarError(f"database line {lineno}: expected 5+ fields")
-        type_text, iso, k_text, free_text, torsion_text = parts[:5]
-        prov = parts[5] if len(parts) > 5 else ""
-        if iso not in ("sc", "ad", "any"):
-            raise CharvarError(f"database line {lineno}: bad isogeny {iso!r}")
         try:
+            parts = line.split(None, 5)
+            if len(parts) < 5:
+                raise CharvarError("expected 5+ fields")
+            type_text, iso, k_text, free_text, torsion_text = parts[:5]
+            if iso not in ("sc", "ad", "any"):
+                raise CharvarError(f"bad isogeny {iso!r}")
             t = types.get(type_text)
             if t is None:
                 t = types[type_text] = SimpleType.parse(type_text)
+            if t.family not in "EFG":
+                raise CharvarError(f"{t} is classical: only E6-E8, F4 and G2 are stored")
             k = int(k_text)
             group = groups.get((free_text, torsion_text))
             if group is None:
                 group = groups[free_text, torsion_text] = _parse_group_field(free_text, torsion_text)
+            if k < 2:
+                raise CharvarError("k < 2 entries are computed, not stored")
+            if k == 2 and group.known and not group.is_trivial():
+                raise CharvarError("pi_2 of a simple group is trivial")
+            if k == 3 and group.known and group != FgAbelianGroup.free(1):
+                raise CharvarError("pi_3 of a simple group is Z")
+            key = (t, k)
+            if first_line.setdefault(key, lineno) != lineno:
+                raise CharvarError(f"duplicate of line {first_line[key]} ({t} k={k})")
         except (ValueError, CharvarError) as exc:
             raise CharvarError(f"database line {lineno}: {exc}") from None
-        if k < 2:
-            raise CharvarError(f"database line {lineno}: k < 2 entries are computed, not stored")
-        if k == 2 and group.known and not group.is_trivial():
-            raise CharvarError(f"database line {lineno}: pi_2 of a simple group is trivial")
-        if k == 3 and group.known and group != FgAbelianGroup.free(1):
-            raise CharvarError(f"database line {lineno}: pi_3 of a simple group is Z")
-        key = (t, k)
-        if first_line.setdefault(key, lineno) != lineno:
-            raise CharvarError(f"database line {lineno}: duplicate of line {first_line[key]}"
-                               f" ({t} k={k})")
         entries[key] = group
-        provenance[key] = prov
+        provenance[key] = parts[5] if len(parts) > 5 else ""
     return HomotopyDatabase(entries, provenance)
 
 
@@ -110,18 +118,23 @@ def default_database() -> HomotopyDatabase:
         return load_database(path)
 
 
-# pi_k of the stable groups U, O and Sp, indexed by k mod 8 (Bott 1959);
-# D_n reads the O row with B_n.
+# pi_k of the stable groups U, O and Sp, indexed by k mod 8 (Bott 1959),
+# and the stable range k <= a*n + b of each family's fibration
+# G_m -> G_{m+1} -> sphere (Steenrod, Topology of Fibre Bundles, sec. 25):
+# k <= 2m-1 on SU(m), m-2 on Spin(m), 4m+1 on Sp(m), where A_n is SU(n+1),
+# B_n Spin(2n+1), C_n Sp(n) and D_n Spin(2n).
 _0, _Z, _Z2 = FgAbelianGroup.trivial(), FgAbelianGroup.free(1), FgAbelianGroup.cyclic(2)
+_O = (_Z2, _Z2, _0, _Z, _0, _0, _0, _Z)
 _BOTT = {
-    "A": (_0, _Z, _0, _Z, _0, _Z, _0, _Z),
-    "B": (_Z2, _Z2, _0, _Z, _0, _0, _0, _Z),
-    "C": (_0, _0, _0, _Z, _Z2, _Z2, _0, _Z),
+    "A": ((_0, _Z, _0, _Z, _0, _Z, _0, _Z), 2, 1),
+    "B": (_O, 2, -1),
+    "C": ((_0, _0, _0, _Z, _Z2, _Z2, _0, _Z), 4, 1),
+    "D": (_O, 2, -2),
 }
 
 
 def _bott_stable_value(family: str, k: int) -> FgAbelianGroup:
-    return _BOTT["B" if family == "D" else family][k % 8]
+    return _BOTT[family][0][k % 8]
 
 
 def pi_simple(
@@ -144,11 +157,8 @@ def pi_simple(
     # SU(2) = Sp(1) and Spin(5) = Sp(2) are read along the symplectic chain
     n = t.rank
     family = "C" if (t.family, n) in (("A", 1), ("B", 2)) else t.family
-    # G_m -> G_{m+1} -> sphere keeps pi_k stable for k <= 2m-1 on SU(m),
-    # k <= m-2 on Spin(m) and k <= 4m+1 on Sp(m) (Steenrod, Topology of
-    # Fibre Bundles, sec. 25); A_n is SU(n+1), B_n Spin(2n+1), D_n Spin(2n).
-    limit = {"A": 2 * n + 1, "B": 2 * n - 1, "C": 4 * n + 1, "D": 2 * n - 2}[family]
-    return _bott_stable_value(family, k) if k <= limit else FgAbelianGroup.unknown()
+    _, a, b = _BOTT[family]
+    return _bott_stable_value(family, k) if k <= a * n + b else FgAbelianGroup.unknown()
 
 
 class Validity(enum.Enum):

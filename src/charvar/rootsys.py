@@ -18,9 +18,9 @@ from .errors import CharvarError
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4}
 # Largest rank of a classical type: marks and gradings are lists of n entries.
 MAX_RANK = 10**4
-_FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 _EXCEPTIONAL_DIMENSIONS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
-# Per node, how many positive roots have coefficient 1, 2, ..., mark there.
+# The exceptional types (their keys are the only valid exceptional ranks) and,
+# per node, how many positive roots have coefficient 1, 2, ..., mark there.
 _EXCEPTIONAL_GRADINGS = {
     ("E", 6): ((16,), (20, 1), (20, 5), (18, 9, 2), (20, 5), (16,)),
     ("E", 7): ((32, 1), (35, 7), (30, 15, 2), (24, 18, 8, 3), (30, 15, 5), (32, 10), (27,)),
@@ -70,8 +70,8 @@ class SimpleType:
                 f"{self.family}{self.rank} is an alias: use {canonical}"
                 + (" (not simple)" if "+" in canonical else "")
             )
-        if self.family in _FIXED_RANKS:
-            if self.rank not in _FIXED_RANKS[self.family]:
+        if self.family in "EFG":
+            if (self.family, self.rank) not in _EXCEPTIONAL_GRADINGS:
                 raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
         elif self.rank < _RANK_BOUNDS[self.family]:
             raise CharvarError(f"invalid rank {self.rank} for family {self.family}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from charvar.errors import CharvarError
@@ -92,6 +93,27 @@ def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
             a[l][s] = -e.multiplicity
             a[s][l] = -1
     return tuple(tuple(row) for row in a)
+
+
+def det(m) -> int:
+    """Exact determinant of an integer matrix by Gaussian elimination over
+    the rationals."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            d = -d
+        d *= m[col][col]
+        for i in range(col + 1, n):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    assert d.denominator == 1
+    return int(d)
 
 
 @functools.cache

@@ -6,7 +6,6 @@ a one-second runtime budget.
 
 import random
 import time
-from fractions import Fraction
 
 from charvar import (
     FgAbelianGroup,
@@ -31,7 +30,7 @@ from charvar import (
 )
 
 import golden_tables as g
-from diagrams import cartan_matrix, positive_roots
+from diagrams import cartan_matrix, det, positive_roots
 from golden_tables import T, types
 
 SC = Isogeny.SIMPLY_CONNECTED
@@ -223,29 +222,9 @@ def test_criterion_8_ci_decisions():
               "type-A factors")
 
 
-def _det(m):
-    """Exact determinant by Gaussian elimination over the rationals."""
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        d *= m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] / m[col][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    assert d.denominator == 1
-    return int(d)
-
-
 def test_criterion_9_cross_checks():
     for t in g.ALL_TYPES:
-        assert center_group(t).order() == _det([list(r) for r in cartan_matrix(t)]), t
+        assert center_group(t).order() == det([list(r) for r in cartan_matrix(t)]), t
         assert dimension(t) == t.rank + 2 * len(positive_roots(t)), t
         for rec in bds_table(t):
             assert sum(c.rank for c in rec.bds_type) == t.rank, (t, rec.node)

@@ -150,6 +150,15 @@ class TestTables:
         assert code == 0 and obj["rows"] == [] and obj["min_codim"] is None
 
 
+@pytest.mark.parametrize("t", g.types_up_to(40), ids=str)
+def test_table_min_codim_matches_library(t):
+    # the CLI takes each minimum from the rows it printed
+    for command, minimum in (("table-levi", subalg.min_levi_codim),
+                             ("table-bds", subalg.min_bds_codim)):
+        code, out, _ = invoke(command, str(t), "--format", "json")
+        assert code == 0 and json.loads(out)["min_codim"] == minimum(t), command
+
+
 class TestQueries:
     def test_codim(self):
         code, out, _ = invoke("codim", "E8", "-r", "2", "--format", "json")
@@ -437,6 +446,25 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: database ")
 
+    @pytest.mark.parametrize("spec,text,error", [
+        ("A2", "A2 any 6 0 6 x\n",
+         "database line 1: A2 is classical: only E6-E8, F4 and G2 are stored"),
+        ("E6", "E6 any 10 ? banana x\n",
+         "database line 1: torsion 'banana' after an unknown free rank: use ? or -"),
+    ], ids=["classical", "torsion_after_unknown"])
+    def test_database_text_never_read_exit_1(self, tmp_path, spec, text, error):
+        db = tmp_path / "pi.txt"
+        db.write_text(text)
+        assert invoke("homotopy", spec, "-r", "3", "-k", "6", "--db", str(db)) == (
+            1, "", f"error: {error}\n")
+
+    def test_database_length_ceiling_exit_1(self, tmp_path, memory_cap):
+        db = tmp_path / "pi.txt"
+        db.write_text("#" * 10**6 + "\n")
+        for path in (str(db), "/dev/zero"):
+            assert invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", path) == (
+                1, "", f"error: database {path}: longer than the ceiling of 1000000 characters\n")
+
     def test_usage_errors_exit_2(self):
         for argv in [(), ("frobnicate",), ("codim", "A2"),
                      ("homotopy", "E6", "-r", "2", "-k", "x"),
@@ -457,7 +485,7 @@ def test_readme_ceilings_match_code():
         c, base, e = re.fullmatch(r"(?:(\d+)·)?(\d+)(?:\^(\d+))?", spelled).groups()
         named[name] = (getattr(importlib.import_module(f"charvar.{module}"), name),
                        int(c or 1) * int(base) ** int(e or 1))
-    assert sorted(named) == ["MAX_FACTORS", "MAX_FACTOR_BITS", "MAX_FREE_RANK",
+    assert sorted(named) == ["MAX_DB_CHARS", "MAX_FACTORS", "MAX_FACTOR_BITS", "MAX_FREE_RANK",
                              "MAX_M", "MAX_MODULUS", "MAX_RANK"]
     for name, (code_value, readme_value) in named.items():
         assert code_value == readme_value, name

@@ -1,6 +1,5 @@
 import math
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -19,7 +18,7 @@ from charvar import (
     pi_group,
 )
 
-from diagrams import cartan_matrix
+from diagrams import cartan_matrix, det
 from golden_tables import T, types_up_to
 from slot_fill import slot_fill
 from snf import smith_normal_form
@@ -195,25 +194,6 @@ class TestPrimaryForm:
             FgAbelianGroup.from_torsion([2], free_rank=-1)
 
 
-def frac_det(m):
-    """Determinant by fraction Gaussian elimination (oracle for SNF)."""
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        d *= m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] / m[col][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return d
-
-
 square_matrix = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
@@ -231,7 +211,7 @@ class TestSmithNormalForm:
     @given(square_matrix)
     def test_determinant_and_divisibility(self, m):
         diag = smith_normal_form([row[:] for row in m])
-        assert math.prod(diag) == abs(frac_det(m))
+        assert math.prod(diag) == abs(det(m))
         nonzero = [d for d in diag if d]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
         assert all(d >= 0 for d in diag)

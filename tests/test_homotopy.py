@@ -255,6 +255,33 @@ class TestExceptionalDatabase:
         assert set(db.entries.values()) == {FgAbelianGroup.cyclic(2)}
         assert pi_simple(T("F4"), AD, 8, db) == FgAbelianGroup.cyclic(2)
 
+    def test_length_ceiling(self, tmp_path, memory_cap):
+        from charvar.homotopy import MAX_DB_CHARS
+
+        assert MAX_DB_CHARS == 10**6
+        path = tmp_path / "pi.txt"
+        path.write_text("#" * (MAX_DB_CHARS - 1) + "\n")
+        assert load_database(path).entries == {}
+        path.write_text("#" * MAX_DB_CHARS + "\n")
+        for source in (str(path), "/dev/zero"):
+            with pytest.raises(CharvarError, match=f"^database {re.escape(source)}: longer than"
+                                                   f" the ceiling of 1000000 characters$"):
+                load_database(source)
+
+    @pytest.mark.parametrize("text,error", [
+        ("A2 any 6 0 6 x", "A2 is classical: only E6-E8, F4 and G2 are stored"),
+        ("D4 ad 7 1 - x", "D4 is classical: only E6-E8, F4 and G2 are stored"),
+        ("E6 any 10 ? banana x", "torsion 'banana' after an unknown free rank: use ? or -"),
+        ("E6 any 10 ? 2 x", "torsion '2' after an unknown free rank: use ? or -"),
+    ])
+    def test_text_the_loader_would_drop_is_refused(self, tmp_path, text, error):
+        # pi_k of a classical type come from Bott's table, and an unknown
+        # group has no torsion, so neither would ever be read
+        path = tmp_path / "pi.txt"
+        path.write_text("G2 any 6 0 3 x\n" + text + "\n")
+        with pytest.raises(CharvarError, match=f"^database line 2: {re.escape(error)}$"):
+            load_database(path)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"E6 any 6 0 - caf\xff\n")

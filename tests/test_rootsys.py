@@ -1,6 +1,5 @@
 import importlib
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -23,6 +22,7 @@ from charvar.rootsys import MAX_RANK, canonical_pieces, grading, subsystem_types
 from diagrams import (
     cartan_matrix,
     classify_diagram,
+    det,
     diagram_of,
     extended_diagram,
     positive_roots,
@@ -30,26 +30,6 @@ from diagrams import (
 from golden_tables import ALL_TYPES, T, types_up_to
 
 any_type = st.sampled_from(ALL_TYPES)
-
-
-def det(m):
-    """Exact determinant by Gaussian elimination over the rationals."""
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        d *= m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] / m[col][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    assert d.denominator == 1
-    return int(d)
 
 
 class TestSimpleType:
