@@ -47,11 +47,23 @@ MAX_FACTOR_BITS = 14_000
 
 def _primary_of(moduli: Counter) -> Primary:
     """Primary form of the sum of `count` copies of Z_m over `moduli`;
-    each distinct modulus is factorised once."""
-    primary: Primary = {}
-    for m, count in moduli.items():
+    each distinct modulus is factorised once.
+
+    The lcm of the moduli is the largest invariant factor, so it is checked
+    against MAX_FACTOR_BITS as it grows, before any modulus is factorised;
+    an order <= 0 anywhere in the list is reported first.
+    """
+    for m in moduli:
         if m <= 0:
             raise CharvarError(f"invalid cyclic order {m}")
+    largest = 1
+    for m in moduli:
+        largest = math.lcm(largest, m)
+        if largest.bit_length() > MAX_FACTOR_BITS:
+            raise CharvarError(f"an invariant factor of at least {largest.bit_length()} bits"
+                               f" is above the ceiling of {MAX_FACTOR_BITS} bits")
+    primary: Primary = {}
+    for m, count in moduli.items():
         for p, e in _factorize(m).items():
             counts = primary.setdefault(p, {})
             counts[e] = counts.get(e, 0) + count

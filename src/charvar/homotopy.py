@@ -1,20 +1,20 @@
 """Homotopy groups of simple and reductive Lie groups and of the good locus.
 
-Exceptional values are shipped as an explicit data table with per-entry
-provenance, one cell per (type, k): for k >= 2 pi_k does not depend on the
-isogeny, since G_sc -> G has a finite fibre. Classical families are answered
-from Bott's table inside the stable range of each family's fibration
-G_n -> G_{n+1} -> sphere. Everything outside that coverage is the Unknown
-group, never a guess.
+Exceptional values are shipped as a data table, loaded as one mapping from
+(type, k) to a `Cell`: the group, its source and its line. For k >= 2 pi_k
+does not depend on the isogeny, since G_sc -> G has a finite fibre.
+Classical families are answered from Bott's table inside the stable range
+of each family's fibration G_n -> G_{n+1} -> sphere. Everything outside
+that coverage is the Unknown group, never a guess.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import os
 from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bounds
 from .errors import CharvarError
@@ -22,12 +22,16 @@ from .groups import FgAbelianGroup, GroupDescriptor, Isogeny, center_group
 from .rootsys import MAX_RANK, SimpleType
 
 
-@dataclass(frozen=True)
-class HomotopyDatabase:
-    """pi_k values of simple groups keyed by (type, k), for k >= 2 only."""
+class Cell(NamedTuple):
+    """pi_k of one (type, k), the source its line names, and that line's number."""
 
-    entries: dict[tuple[SimpleType, int], FgAbelianGroup]
-    provenance: dict[tuple[SimpleType, int], str]
+    group: FgAbelianGroup
+    source: str
+    line: int
+
+
+# pi_k values of simple groups keyed by (type, k), for k >= 2 only.
+HomotopyDatabase = dict[tuple[SimpleType, int], Cell]
 
 
 # Normalising a cyclic order factorises it by trial division up to its square
@@ -61,9 +65,7 @@ def load_database(path) -> HomotopyDatabase:
     Bott's table.  `sc`, `ad` and `any` name the same cell: one line per
     type and k.
     """
-    entries: dict[tuple[SimpleType, int], FgAbelianGroup] = {}
-    provenance: dict[tuple[SimpleType, int], str] = {}
-    first_line: dict[tuple[SimpleType, int], int] = {}
+    cells: HomotopyDatabase = {}
     # each distinct label and group text is parsed once, on its first line
     types: dict[str, SimpleType] = {}
     groups: dict[tuple[str, str], FgAbelianGroup] = {}
@@ -98,24 +100,20 @@ def load_database(path) -> HomotopyDatabase:
                 raise CharvarError("k < 2 entries are computed, not stored")
             if k == 2 and group.known and not group.is_trivial():
                 raise CharvarError("pi_2 of a simple group is trivial")
-            if k == 3 and group.known and group != FgAbelianGroup.free(1):
+            if k == 3 and group.known and group != _Z:
                 raise CharvarError("pi_3 of a simple group is Z")
-            key = (t, k)
-            if first_line.setdefault(key, lineno) != lineno:
-                raise CharvarError(f"duplicate of line {first_line[key]} ({t} k={k})")
+            source = parts[5] if len(parts) > 5 else ""
+            cell = cells.setdefault((t, k), Cell(group, source, lineno))
+            if cell.line != lineno:
+                raise CharvarError(f"duplicate of line {cell.line} ({t} k={k})")
         except (ValueError, CharvarError) as exc:
             raise CharvarError(f"database line {lineno}: {exc}") from None
-        entries[key] = group
-        provenance[key] = parts[5] if len(parts) > 5 else ""
-    return HomotopyDatabase(entries, provenance)
+    return cells
 
 
 @functools.cache
 def default_database() -> HomotopyDatabase:
-    with resources.as_file(
-        resources.files("charvar").joinpath("data/pi_exceptional.txt")
-    ) as path:
-        return load_database(path)
+    return load_database(os.path.join(os.path.dirname(__file__), "data", "pi_exceptional.txt"))
 
 
 # pi_k of the stable groups U, O and Sp, indexed by k mod 8 (Bott 1959),
@@ -153,7 +151,8 @@ def pi_simple(
             return FgAbelianGroup.trivial()
         return center_group(t)
     if t.family in "EFG":
-        return (db or default_database()).entries.get((t, k), FgAbelianGroup.unknown())
+        cell = (default_database() if db is None else db).get((t, k))
+        return FgAbelianGroup.unknown() if cell is None else cell.group
     # SU(2) = Sp(1) and Spin(5) = Sp(2) are read along the symplectic chain
     n = t.rank
     family = "C" if (t.family, n) in (("A", 1), ("B", 2)) else t.family

@@ -374,6 +374,22 @@ class TestExitCodes:
         assert err.startswith("error: database line 1: an invariant factor of ")
         assert "ceiling of 14000 bits" in err and err.count("\n") == 1
 
+    def test_many_large_moduli_refused_before_factorising(self, tmp_path):
+        # 2000 distinct primes near 10^9 multiply past the bit ceiling; their
+        # lcm is checked before any of them is factorised by trial division
+        primes = [m for m in range(10**9 - 1, 10**9 - 200000, -2)
+                  if pow(2, m - 1, m) == 1][:2000]
+        db = tmp_path / "pi.txt"
+        db.write_text(f"G2 any 6 0 {','.join(map(str, primes))} x\nG2 any 5 0 - x\n")
+        t0 = time.perf_counter()
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        elapsed = time.perf_counter() - t0
+        assert code == 1 and not out
+        assert err.startswith("error: database line 1: an invariant factor of at least ")
+        assert err.endswith(" bits is above the ceiling of 14000 bits\n")
+        assert err.count("\n") == 1
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
     def test_homology_support_ceiling_exit_1(self):
         # M = 3 * 10**11 - 4 is refused before the support is built
         code, out, err = invoke("local-model", "A3", "-i", "1", "-r", "100000000000")

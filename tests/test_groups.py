@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charvar import (
@@ -25,8 +25,18 @@ from snf import smith_normal_form
 
 small_torsion = st.lists(st.integers(min_value=1, max_value=64), max_size=5)
 moduli = st.lists(st.integers(min_value=1, max_value=10**4), max_size=7)
+# products of powers of small primes: up to ~33000 bits, quick to trial-divide
+smooth_modulus = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(min_value=1, max_value=3000)),
+    min_size=1, max_size=3,
+).map(lambda pes: math.prod(p**e for p, e in pes))
 fga = st.builds(lambda tors, free: FgAbelianGroup.from_torsion(tors, free_rank=free),
                 small_torsion, st.integers(min_value=0, max_value=3))
+
+
+def near_billion_primes(n):
+    """The n largest base-2 probable primes below 10^9."""
+    return [m for m in range(10**9 - 1, 10**9 - 200000, -2) if pow(2, m - 1, m) == 1][:n]
 
 
 def snf_factors(ms):
@@ -188,6 +198,38 @@ class TestPrimaryForm:
         with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
             FgAbelianGroup.from_torsion([2**7000]).direct_sum(
                 FgAbelianGroup.from_torsion([3**5000]))
+
+    def test_bit_ceiling_before_factorising(self, monkeypatch):
+        # 2000 distinct primes near 10^9: their product has about 59800 bits
+        primes = near_billion_primes(2000)
+
+        def refused(n):
+            raise AssertionError(f"_factorize({n}) reached past the bit ceiling")
+
+        monkeypatch.setattr(groups, "_factorize", refused)
+        t0 = time.perf_counter()
+        with pytest.raises(CharvarError, match=r"^an invariant factor of at least \d+ bits"
+                                               r" is above the ceiling of 14000 bits$"):
+            FgAbelianGroup.from_torsion(primes)
+        assert time.perf_counter() - t0 < 0.5
+        # an order <= 0 anywhere in the list is reported as before
+        with pytest.raises(CharvarError, match=r"^invalid cyclic order 0$"):
+            FgAbelianGroup.from_torsion(primes + [0])
+
+    @given(st.lists(smooth_modulus, min_size=1, max_size=5))
+    @example([2 ** (groups.MAX_FACTOR_BITS - 1)])
+    @example([2 ** groups.MAX_FACTOR_BITS])
+    @example([2**7000, 3**4416, 6])
+    @example([2**7000, 3**4417, 6])
+    @settings(deadline=None)
+    def test_refused_exactly_past_the_bit_ceiling(self, ms):
+        # the lcm of the moduli is the largest invariant factor
+        lcm = math.lcm(*ms)
+        if lcm.bit_length() > groups.MAX_FACTOR_BITS:
+            with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
+                FgAbelianGroup.from_torsion(ms)
+        else:
+            assert FgAbelianGroup.from_torsion(ms).invariant_factors[-1] == lcm
 
     def test_negative_free_rank_refused(self):
         with pytest.raises(CharvarError, match="negative free rank"):

@@ -141,28 +141,39 @@ class TestExceptionalDatabase:
         db = default_database()
         for name in g.ALL_EXCEPTIONAL:
             for k in range(2, 16):
-                assert (T(name), k) in db.entries, (name, k)
+                assert (T(name), k) in db, (name, k)
 
     def test_database_has_provenance(self):
         db = default_database()
-        for key, group in db.entries.items():
-            if group.known:
-                assert db.provenance[key], key
+        for key, cell in db.items():
+            if cell.group.known:
+                assert cell.source, key
+
+    def test_cells_name_their_lines(self):
+        shipped = resources.files("charvar").joinpath("data/pi_exceptional.txt").read_text()
+        lines = shipped.splitlines()
+        for (t, k), cell in default_database().items():
+            fields = lines[cell.line - 1].split(None, 5)
+            assert (fields[0], fields[2]) == (str(t), str(k)), cell
+            assert fields[5] == cell.source, cell
 
     def test_roundtrip_through_file(self, tmp_path):
         db = default_database()
         path = tmp_path / "pi.txt"
         lines = []
-        for (t, k), group in sorted(db.entries.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        for (t, k), cell in sorted(db.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+            group = cell.group
             if not group.known:
                 fields = [str(t), "any", str(k), "?", "-"]
             else:
                 torsion = ",".join(map(str, group.invariant_factors)) or "-"
                 fields = [str(t), "any", str(k), str(group.free_rank), torsion]
-            lines.append(" ".join(fields) + " " + (db.provenance[(t, k)] or "n/a"))
+            lines.append(" ".join(fields) + " " + (cell.source or "n/a"))
         path.write_text("\n".join(lines) + "\n")
         again = load_database(path)
-        assert again.entries == db.entries
+        # the rewritten file orders its lines differently, so compare groups only
+        assert {key: c.group for key, c in again.items()} == {
+            key: c.group for key, c in db.items()}
 
     def test_override_database(self, tmp_path):
         path = tmp_path / "pi.txt"
@@ -177,6 +188,10 @@ class TestExceptionalDatabase:
         path.write_text("# nothing\n")
         assert pi_simple(T("G2"), SC, 6) == FgAbelianGroup.cyclic(3)
         assert pi_simple(T("G2"), SC, 6, db=load_database(path)) == UNKNOWN
+
+    def test_empty_mapping_replaces_default(self):
+        # an empty mapping is falsy, but it is a database all the same
+        assert pi_simple(T("G2"), SC, 6, {}) == UNKNOWN
 
     def test_loader_validation(self, tmp_path):
         cases = [
@@ -252,7 +267,7 @@ class TestExceptionalDatabase:
         path = tmp_path / "pi.txt"
         path.write_text("G2 any 8 0 2 a\nF4 any 8 0 2 b\nE6 ad 8 0 2 c\n")
         db = load_database(path)
-        assert set(db.entries.values()) == {FgAbelianGroup.cyclic(2)}
+        assert {cell.group for cell in db.values()} == {FgAbelianGroup.cyclic(2)}
         assert pi_simple(T("F4"), AD, 8, db) == FgAbelianGroup.cyclic(2)
 
     def test_length_ceiling(self, tmp_path, memory_cap):
@@ -261,7 +276,7 @@ class TestExceptionalDatabase:
         assert MAX_DB_CHARS == 10**6
         path = tmp_path / "pi.txt"
         path.write_text("#" * (MAX_DB_CHARS - 1) + "\n")
-        assert load_database(path).entries == {}
+        assert load_database(path) == {}
         path.write_text("#" * MAX_DB_CHARS + "\n")
         for source in (str(path), "/dev/zero"):
             with pytest.raises(CharvarError, match=f"^database {re.escape(source)}: longer than"
