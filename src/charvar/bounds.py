@@ -120,6 +120,6 @@ def classify_singular_locus(g: GroupDescriptor, r: int) -> SingularLocusReport:
         Verdict.UNDETERMINED_R2_RANK1,
         (
             "r = 2 with a rank-one simple factor: the classification is open",
-            "smooth reducible classes and singular irreducible classes both occur",
+            "reducible classes can be smooth points: X_2(SL_2) = C^3 (Fricke-Vogt)",
         ),
     )

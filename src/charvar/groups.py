@@ -22,21 +22,9 @@ class Isogeny(enum.Enum):
     ADJOINT = "ad"
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-# A primary form: for each prime p, the number of cyclic summands Z_{p^e}
-# for each exponent e, every count positive.
+# A primary form: for each key b of a pairwise coprime base, the number of
+# summands Z_{b^e} for each exponent e, every count positive.  A prime p of b
+# has v_p = v_p(b) e, so the invariant factors come out as if b were prime.
 Primary = dict[int, dict[int, int]]
 
 # CPython refuses to print an int of more than 4300 decimal digits, and an
@@ -45,14 +33,53 @@ Primary = dict[int, dict[int, int]]
 MAX_FACTOR_BITS = 14_000
 
 
-def _primary_of(moduli: Counter) -> Primary:
-    """Primary form of the sum of `count` copies of Z_m over `moduli`;
-    each distinct modulus is factorised once.
+def _normalise(parts) -> Primary:
+    """Primary form of the sum over the parts (b, {e: count}) of `count`
+    copies of Z_{b^e}, keyed by a coprime base built from gcds alone.
 
-    The lcm of the moduli is the largest invariant factor, so it is checked
-    against MAX_FACTOR_BITS as it grows, before any modulus is factorised;
-    an order <= 0 anywhere in the list is reported first.
+    Factor refinement (Bach, Driscoll and Shallit 1993): where a key x meets
+    a base key y in g = gcd(x, y) > 1, y splits into g and y/g and g is
+    stripped from x.  A key carries its exponent v in each part's b, and
+    Z_{b^e} is the sum of the Z_{c^(e v)}.
     """
+    if len(parts) < 2:  # one key is a coprime base; forms are shared, never mutated
+        return {b: counts for b, counts in parts if b > 1}
+    base: dict[int, dict[int, int]] = {}  # key -> {part: exponent of the key in its b}
+    todo = [(b, {j: 1}) for j, (b, _) in enumerate(parts) if b > 1]
+    while todo:
+        x, vx = todo.pop()
+        for y in (x,) if x in base else base:  # a repeated key is found at once
+            g = math.gcd(x, y)
+            if g > 1:
+                break
+        else:
+            base[x] = vx
+            continue
+        if g < y:  # g and y/g divide y, so both are coprime to the other keys
+            todo.append((y // g, base[y]))
+            base[g] = dict(base.pop(y))
+        k = 0
+        while x % g == 0:
+            x, k = x // g, k + 1
+        into = base[g]
+        into.update({j: into.get(j, 0) + k * v for j, v in vx.items()})
+        if x > 1:
+            todo.append((x, vx))
+    primary: Primary = {}
+    for c, exponents in base.items():
+        counts = primary[c] = {}
+        for j, v in exponents.items():
+            for e, n in parts[j][1].items():
+                counts[e * v] = counts.get(e * v, 0) + n
+    return primary
+
+
+def _primary_of(moduli: Counter) -> Primary:
+    """Primary form of the sum of `count` copies of Z_m over `moduli`.
+
+    An order <= 0 is reported first.  The lcm of the moduli, the largest
+    invariant factor, is checked against MAX_FACTOR_BITS as it grows,
+    before any base is built."""
     for m in moduli:
         if m <= 0:
             raise CharvarError(f"invalid cyclic order {m}")
@@ -62,30 +89,25 @@ def _primary_of(moduli: Counter) -> Primary:
         if largest.bit_length() > MAX_FACTOR_BITS:
             raise CharvarError(f"an invariant factor of at least {largest.bit_length()} bits"
                                f" is above the ceiling of {MAX_FACTOR_BITS} bits")
-    primary: Primary = {}
-    for m, count in moduli.items():
-        for p, e in _factorize(m).items():
-            counts = primary.setdefault(p, {})
-            counts[e] = counts.get(e, 0) + count
-    return primary
+    return _normalise([(m, {1: count}) for m, count in moduli.items()])
 
 
 def _invariant_factors(primary: Primary) -> tuple[int, ...]:
     """d_1 | d_2 | ... of a primary form, built one run of equal factors at a time.
 
-    The i-th largest factor is the product of each prime's i-th largest
-    power.  A prime's power drops only at the slot where its count for one
+    The i-th largest factor is the product of each key's i-th largest
+    power.  A key's power drops only at the slot where its count for one
     exponent runs out, so the factors are constant between those slots.
     """
     largest = 1
     drops: dict[int, int] = defaultdict(lambda: 1)  # slot -> what the factor loses there
-    for p, counts in primary.items():
+    for b, counts in primary.items():
         exponents = sorted(counts, reverse=True)
-        largest *= p ** exponents[0]
+        largest *= b ** exponents[0]
         slot = 0
         for e, lower in zip(exponents, exponents[1:] + [0]):
             slot += counts[e]
-            drops[slot] *= p ** (e - lower)
+            drops[slot] *= b ** (e - lower)
     if largest.bit_length() > MAX_FACTOR_BITS:
         raise CharvarError(f"an invariant factor of {largest.bit_length()} bits is above"
                            f" the ceiling of {MAX_FACTOR_BITS} bits")
@@ -111,11 +133,11 @@ class FgAbelianGroup:
     """Finitely generated abelian group, printed in invariant-factor form.
 
     A group built by `from_torsion`, `direct_sum` or `power` is stored as its
-    free rank plus its primary form, a count of summands Z_{p^e} for each
-    prime power: sums add the counts and powers multiply them, so an order
-    is factorised once, where it enters.  `invariant_factors` (d_1 | d_2 |
-    ...) is derived from the counts.  A group built from its fields (the
-    constructor, `cyclic`) derives its primary form on first use.
+    free rank plus its primary form, a count of summands Z_{b^e} for each
+    power of a key b of a coprime base: powers multiply the counts, and sums
+    refine the summands' keys into one base by gcds alone.  `invariant_factors`
+    (d_1 | d_2 | ...) is derived from the counts.  A group built from its
+    fields (the constructor, `cyclic`) derives its primary form on first use.
     ``known=False`` is the Unknown marker; it absorbs direct sums.
     """
 
@@ -180,16 +202,9 @@ class FgAbelianGroup:
         summands = (self, *others)
         if not all(a.known for a in summands):
             return FgAbelianGroup.unknown()
-        total: Primary = {}
-        for a in summands:
-            for p, counts in a._primary_form().items():
-                mine = total.get(p)
-                if mine is None:
-                    total[p] = dict(counts)
-                else:
-                    for e, count in counts.items():
-                        mine[e] = mine.get(e, 0) + count
-        return FgAbelianGroup._from_primary(sum(a.free_rank for a in summands), total)
+        primary = _normalise([part for a in summands if a.invariant_factors
+                              for part in a._primary_form().items()])
+        return FgAbelianGroup._from_primary(sum(a.free_rank for a in summands), primary)
 
     def power(self, n: int) -> "FgAbelianGroup":
         if n < 0:
@@ -199,8 +214,8 @@ class FgAbelianGroup:
         if n == 0:
             return FgAbelianGroup.trivial()
         return FgAbelianGroup._from_primary(self.free_rank * n, {
-            p: {e: count * n for e, count in counts.items()}
-            for p, counts in self._primary_form().items()
+            b: {e: count * n for e, count in counts.items()}
+            for b, counts in self._primary_form().items()
         })
 
     def order(self) -> int | None:

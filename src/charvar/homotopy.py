@@ -34,9 +34,6 @@ class Cell(NamedTuple):
 HomotopyDatabase = dict[tuple[SimpleType, int], Cell]
 
 
-# Normalising a cyclic order factorises it by trial division up to its square
-# root, so a database modulus above this ceiling is refused.
-MAX_MODULUS = 10**9
 # pi_k(G)^r repeats each invariant factor of pi_k(G) r times, and the answer
 # is built and printed in full, so r times that count is bounded.
 MAX_FACTORS = 2 * 10**5
@@ -50,8 +47,6 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
             raise CharvarError(f"torsion {torsion_text!r} after an unknown free rank: use ? or -")
         return FgAbelianGroup.unknown()
     torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
-    if torsion and max(torsion) > MAX_MODULUS:
-        raise CharvarError(f"torsion modulus {max(torsion)} is above the ceiling {MAX_MODULUS}")
     free_rank = int(free_text)
     if free_rank > MAX_RANK:
         raise CharvarError(f"free rank is above the ceiling {MAX_RANK}")

@@ -327,14 +327,33 @@ class TestExitCodes:
         assert err.count("error:") == 1 and err.count("\n") == 1
 
     def test_database_modulus_ceiling_exit_1(self, tmp_path):
-        # 2**61 - 1 is prime; trial division to its square root would hang
+        # 2**61 - 1 is prime: trial division to its square root would hang,
+        # and a coprime base of gcds loads it at once
         db = tmp_path / "pi.txt"
         db.write_text("G2 any 6 0 2305843009213693951 x\n")
         t0 = time.perf_counter()
         code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
         elapsed = time.perf_counter() - t0
-        assert code == 1 and not out
-        assert err.startswith("error: database line 1: ") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert "= (Z_2305843009213693951)^2 + (?)\n" in out
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    def test_database_semiprimes_load_quickly(self, tmp_path):
+        # 2000 distinct products of two primes above 20000: trial division
+        # took seconds on them; gcds alone take milliseconds
+        primes = [p for p in range(20001, 40000, 2)
+                  if all(p % q for q in range(3, math.isqrt(p) + 1, 2))][:210]
+        moduli = [primes[i] * primes[i + j] for i in range(200) for j in range(1, 11)]
+        db = tmp_path / "pi.txt"
+        db.write_text(f"G2 any 6 0 {','.join(map(str, moduli))} x\nG2 any 5 0 - x\n")
+        t0 = time.perf_counter()
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db),
+                                "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "")
+        torsion = json.loads(out)["value"]["torsion"]
+        assert len(torsion) == 2 * 20 and math.prod(torsion) == math.prod(moduli) ** 2
+        assert torsion[-1] == math.lcm(*moduli)
         assert elapsed < 1.0, f"{elapsed:.2f}s"
 
     def test_large_power_of_database_modulus(self, tmp_path):
@@ -350,7 +369,7 @@ class TestExitCodes:
 
     def test_product_of_two_database_primes(self, tmp_path):
         # the invariant factor 99999989 * 99999971 is about 10^16; nothing
-        # after the load factorises it again
+        # factorises it
         db = tmp_path / "pi.txt"
         db.write_text("G2 any 6 0 99999989,99999971 x\nG2 any 5 0 - x\n")
         factor = 99999989 * 99999971
@@ -376,7 +395,7 @@ class TestExitCodes:
 
     def test_many_large_moduli_refused_before_factorising(self, tmp_path):
         # 2000 distinct primes near 10^9 multiply past the bit ceiling; their
-        # lcm is checked before any of them is factorised by trial division
+        # lcm is checked before any coprime base is built
         primes = [m for m in range(10**9 - 1, 10**9 - 200000, -2)
                   if pow(2, m - 1, m) == 1][:2000]
         db = tmp_path / "pi.txt"
@@ -502,7 +521,7 @@ def test_readme_ceilings_match_code():
         named[name] = (getattr(importlib.import_module(f"charvar.{module}"), name),
                        int(c or 1) * int(base) ** int(e or 1))
     assert sorted(named) == ["MAX_DB_CHARS", "MAX_FACTORS", "MAX_FACTOR_BITS", "MAX_FREE_RANK",
-                             "MAX_M", "MAX_MODULUS", "MAX_RANK"]
+                             "MAX_M", "MAX_RANK"]
     for name, (code_value, readme_value) in named.items():
         assert code_value == readme_value, name
 

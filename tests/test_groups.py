@@ -30,6 +30,13 @@ smooth_modulus = st.lists(
     st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(min_value=1, max_value=3000)),
     min_size=1, max_size=3,
 ).map(lambda pes: math.prod(p**e for p, e in pes))
+# keys that share composite factors, and products of primes near 10^9
+NEAR_BILLION = [999999937, 999999929, 999999893]
+base_modulus = st.one_of(
+    st.sampled_from([1, 2, 4, 6, 8, 9, 12, 18, 36, 1000]),
+    st.builds(lambda p, q, c: p * q * c, st.sampled_from(NEAR_BILLION),
+              st.sampled_from(NEAR_BILLION + [1]), st.sampled_from([1, 2, 6, 12, 18])),
+)
 fga = st.builds(lambda tors, free: FgAbelianGroup.from_torsion(tors, free_rank=free),
                 small_torsion, st.integers(min_value=0, max_value=3))
 
@@ -172,15 +179,10 @@ class TestPrimaryForm:
         assert repr(a) == repr(b) and str(a) == str(b)
         assert a.direct_sum(b) == b.direct_sum(a) == b.power(2)
 
-    def test_sums_and_powers_never_factorize(self, monkeypatch):
+    def test_sums_and_powers_never_factorize(self):
         big = FgAbelianGroup.from_torsion([99999989, 99999971, 12])
         center = center_group(T("D6"))
         bott = FgAbelianGroup.from_torsion([2], free_rank=1)
-
-        def refused(n):
-            raise AssertionError(f"_factorize({n}) reached after construction")
-
-        monkeypatch.setattr(groups, "_factorize", refused)
         value = big.power(1900).direct_sum(center, bott.power(3))
         assert value.free_rank == 3
         assert value.invariant_factors == (2,) * 5 + (12 * 99999989 * 99999971,) * 1900
@@ -203,10 +205,10 @@ class TestPrimaryForm:
         # 2000 distinct primes near 10^9: their product has about 59800 bits
         primes = near_billion_primes(2000)
 
-        def refused(n):
-            raise AssertionError(f"_factorize({n}) reached past the bit ceiling")
+        def refused(parts):
+            raise AssertionError(f"a base of {len(parts)} moduli built past the bit ceiling")
 
-        monkeypatch.setattr(groups, "_factorize", refused)
+        monkeypatch.setattr(groups, "_normalise", refused)
         t0 = time.perf_counter()
         with pytest.raises(CharvarError, match=r"^an invariant factor of at least \d+ bits"
                                                r" is above the ceiling of 14000 bits$"):
@@ -230,6 +232,47 @@ class TestPrimaryForm:
                 FgAbelianGroup.from_torsion(ms)
         else:
             assert FgAbelianGroup.from_torsion(ms).invariant_factors[-1] == lcm
+
+    def test_large_moduli_answer_at_once(self):
+        # trial division to the square root of these moduli would take minutes
+        for build, moduli in [
+            (lambda: FgAbelianGroup.cyclic(999999937 * 999999929).power(2),
+             [999999937 * 999999929] * 2),
+            (lambda: FgAbelianGroup.from_torsion([2**61 - 1, 6, 4]), [2**61 - 1, 6, 4]),
+        ]:
+            t0 = time.perf_counter()
+            group = build()
+            assert time.perf_counter() - t0 < 1.0
+            assert group.invariant_factors == snf_factors(moduli)
+
+    @given(st.lists(st.tuples(base_modulus, st.integers(min_value=1, max_value=3),
+                              st.integers(min_value=1, max_value=3)), max_size=8))
+    def test_coprime_base(self, parts):
+        # parts (b, {e: count}); the keys form a coprime base of the b's
+        primary = groups._normalise([(b, {e: n}) for b, e, n in parts])
+        keys = list(primary)
+        assert all(c > 1 for c in keys)
+        assert all(math.gcd(c, d) == 1 for i, c in enumerate(keys) for d in keys[:i])
+        for b, _, _ in parts:
+            for c in keys:
+                while b % c == 0:
+                    b //= c
+            assert b == 1
+        # and the counts keep the order of the group
+        assert math.prod(c ** (e * n) for c, counts in primary.items()
+                         for e, n in counts.items()) == math.prod(b ** (e * n) for b, e, n in parts)
+
+    @given(st.lists(st.tuples(st.lists(base_modulus, max_size=4), st.booleans(),
+                              st.integers(min_value=0, max_value=3)), min_size=1, max_size=4))
+    def test_direct_sum_of_shared_keys_matches_smith_normal_form(self, parts):
+        # summands whose keys share composite factors (12, 18, 2, 4, ...) and
+        # large primes; the prime-based oracle would trial-divide these
+        summands = [(FgAbelianGroup(invariant_factors=snf_factors(ms)) if from_fields
+                     else FgAbelianGroup.from_torsion(ms)).power(n)
+                    for ms, from_fields, n in parts]
+        total = summands[0].direct_sum(*summands[1:])
+        assert total.invariant_factors == snf_factors(
+            [m for ms, _, n in parts for m in ms * n])
 
     def test_negative_free_rank_refused(self):
         with pytest.raises(CharvarError, match="negative free rank"):
