@@ -39,7 +39,8 @@ def _normalise(parts) -> Primary:
 
     Factor refinement (Bach, Driscoll and Shallit 1993): where a key x meets
     a base key y in g = gcd(x, y) > 1, y splits into g and y/g and g is
-    stripped from x.  A key carries its exponent v in each part's b, and
+    stripped from x by repeated squares, in steps logarithmic in its
+    exponent.  A key carries its exponent v in each part's b, and
     Z_{b^e} is the sum of the Z_{c^(e v)}.
     """
     if len(parts) < 2:  # one key is a coprime base; forms are shared, never mutated
@@ -58,9 +59,14 @@ def _normalise(parts) -> Primary:
         if g < y:  # g and y/g divide y, so both are coprime to the other keys
             todo.append((y // g, base[y]))
             base[g] = dict(base.pop(y))
-        k = 0
-        while x % g == 0:
-            x, k = x // g, k + 1
+        k, steps, q, e = 0, [], g, 1  # strip g, g^2, g^4, ..., then halve back down
+        while x % q == 0:
+            x, k = x // q, k + e
+            steps.append((q, e))
+            q, e = q * q, 2 * e
+        for q, e in reversed(steps):
+            if x % q == 0:
+                x, k = x // q, k + e
         into = base[g]
         into.update({j: into.get(j, 0) + k * v for j, v in vx.items()})
         if x > 1:

@@ -7,10 +7,16 @@ Dynkin diagram (the tests check these tables against both).  Node
 numbering follows Bourbaki (A/B/C/D chains numbered left to right, the
 branch node of E6/E7/E8 is node 4 with node 2 hanging off it, G2 has the
 short root first).  There is no floating point anywhere.
+
+`grading(t, i)` costs O(1), for callers that read one node.  The tables,
+their minima and the marks read `gradings(t)`, all nodes in one pass, held
+for the last 4 types; `canonical_pieces` holds its last 256 labels.  Both
+are bounded module-level functools caches.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CharvarError
@@ -109,7 +115,7 @@ def dimension(t: SimpleType) -> int:
 def highest_root(t: SimpleType) -> tuple[int, ...]:
     """The unique positive root dominating all others coordinatewise: its
     coefficient at node i, the mark, is the length of grading(t, i)."""
-    return tuple(len(grading(t, i)) for i in range(1, t.rank + 1))
+    return tuple(map(len, gradings(t)))
 
 
 def grading(t: SimpleType, i: int) -> tuple[int, ...]:
@@ -118,23 +124,36 @@ def grading(t: SimpleType, i: int) -> tuple[int, ...]:
     n = t.rank
     if not 1 <= i <= n:
         raise CharvarError(f"node {i} out of range for {t}")
-    if t.family == "A":
-        counts = (i * (n + 1 - i),)
-    elif t.family == "B":
-        counts = (i * (2 * n - 2 * i + 1), i * (i - 1) // 2)
-    elif t.family == "C":
-        counts = (2 * i * (n - i), i * (i + 1) // 2) if i < n else (n * (n + 1) // 2,)
-    elif t.family == "D":
-        counts = (2 * i * (n - i), i * (i - 1) // 2) if i <= n - 2 else (n * (n - 1) // 2,)
-    else:
-        return _EXCEPTIONAL_GRADINGS[t.family, n][i - 1]
-    return tuple(c for c in counts if c)
+    f = t.family
+    if f == "A":
+        return (i * (n + 1 - i),)
+    if f == "B":  # node 1 is the one node of mark 1
+        return (i * (2 * n - 2 * i + 1), i * (i - 1) // 2) if i > 1 else (2 * n - 1,)
+    if f == "C":
+        return (2 * i * (n - i), i * (i + 1) // 2) if i < n else (n * (n + 1) // 2,)
+    if f == "D":  # nodes 1, n-1 and n are the nodes of mark 1
+        if i == 1:
+            return (2 * n - 2,)
+        return (2 * i * (n - i), i * (i - 1) // 2) if i <= n - 2 else (n * (n - 1) // 2,)
+    return _EXCEPTIONAL_GRADINGS[f, n][i - 1]
+
+
+# One entry holds n gradings of at most two counts, about 1 MB at MAX_RANK;
+# the bound keeps a sweep over ranks from holding more than a few.
+@functools.lru_cache(maxsize=4)
+def gradings(t: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """(grading(t, 1), ..., grading(t, n)) in one pass: the tables, their
+    minima and the marks of a type all read this one tuple."""
+    return tuple(grading(t, i) for i in range(1, t.rank + 1))
 
 
 def _labels(text: str) -> tuple[SimpleType, ...]:
     return tuple(map(SimpleType.parse, text.split("+")))
 
 
+# Keyed by (family, rank), a few hundred bytes an entry: large enough that the
+# Levi and BdS tables of a type up to rank about 80 share their X_{n-k} pieces.
+@functools.lru_cache(maxsize=256)
 def canonical_pieces(family: str, rank: int) -> tuple[SimpleType, ...]:
     """The simple pieces of the classical label family + rank: none at rank 0,
     the canonical types of an alias (D2 is A1 + A1), else the label itself."""
@@ -154,12 +173,13 @@ def subsystem_types(t: SimpleType, k: int, *, extended: bool = False) -> tuple[S
     of mark 2 into D_k + B_{n-k}, C_k + C_{n-k} or D_k + D_{n-k}, and a node
     of mark 1 leaves t itself.
     """
-    mark = len(grading(t, k))  # also checks that k is a node of t
     f, n = t.family, t.rank
+    if not 1 <= k <= n:
+        raise CharvarError(f"node {k} out of range for {t}")
     if f in "EFG":
         return _labels(_EXCEPTIONAL_SUBSYSTEMS[f, n][k - 1][extended])
     if extended:
-        if mark == 1:
+        if len(gradings(t)[k - 1]) == 1:  # a node of mark 1
             return (t,)
         pieces = canonical_pieces("C" if f == "C" else "D", k) + canonical_pieces(f, n - k)
     elif f == "D" and k >= n - 1:

@@ -356,6 +356,20 @@ class TestExitCodes:
         assert torsion[-1] == math.lcm(*moduli)
         assert elapsed < 1.0, f"{elapsed:.2f}s"
 
+    def test_database_powers_of_two_load_quickly(self, tmp_path):
+        # 2^1 .. 2^2499 (944105 characters): stripping one factor 2 at a time
+        # took seconds; stripping 2, 4, 16, ... takes a few steps per key
+        moduli = [2**e for e in range(1, 2500)]
+        db = tmp_path / "pi.txt"
+        db.write_text(f"G2 any 6 0 {','.join(map(str, moduli))} x\nG2 any 5 0 - x\n")
+        t0 = time.perf_counter()
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db),
+                                "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"]["torsion"] == sorted(moduli * 2)
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
     def test_large_power_of_database_modulus(self, tmp_path):
         db = tmp_path / "pi.txt"
         db.write_text("G2 any 6 0 999999937 x\nG2 any 5 0 - x\n")

@@ -30,12 +30,14 @@ smooth_modulus = st.lists(
     st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(min_value=1, max_value=3000)),
     min_size=1, max_size=3,
 ).map(lambda pes: math.prod(p**e for p, e in pes))
-# keys that share composite factors, and products of primes near 10^9
+# keys that share composite factors, products of primes near 10^9, and high
+# powers of shared keys (a key is stripped by repeated squares)
 NEAR_BILLION = [999999937, 999999929, 999999893]
 base_modulus = st.one_of(
     st.sampled_from([1, 2, 4, 6, 8, 9, 12, 18, 36, 1000]),
     st.builds(lambda p, q, c: p * q * c, st.sampled_from(NEAR_BILLION),
               st.sampled_from(NEAR_BILLION + [1]), st.sampled_from([1, 2, 6, 12, 18])),
+    st.builds(pow, st.sampled_from([2, 3, 6, 12, 18]), st.integers(min_value=2, max_value=600)),
 )
 fga = st.builds(lambda tors, free: FgAbelianGroup.from_torsion(tors, free_rank=free),
                 small_torsion, st.integers(min_value=0, max_value=3))

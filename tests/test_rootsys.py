@@ -17,7 +17,7 @@ from charvar import (
     parabolic_weights,
     pi_simple,
 )
-from charvar.rootsys import MAX_RANK, canonical_pieces, grading, subsystem_types
+from charvar.rootsys import MAX_RANK, canonical_pieces, grading, gradings, subsystem_types
 
 from diagrams import (
     cartan_matrix,
@@ -176,9 +176,12 @@ class TestClosedFormsAgainstEnumeration:
         assert theta in pos
         assert all(all(a >= b for a, b in zip(theta, root)) for root in pos)
         assert sum(theta) == h - 1
+        enumerated = []
         for i in range(1, t.rank + 1):
             counts = Counter(root[i - 1] for root in pos if root[i - 1])
-            assert grading(t, i) == tuple(counts[n] for n in range(1, theta[i - 1] + 1)), i
+            enumerated.append(tuple(counts[n] for n in range(1, theta[i - 1] + 1)))
+            assert grading(t, i) == enumerated[-1], i
+        assert gradings(t) == tuple(enumerated)
 
     def test_grading_rejects_bad_node(self):
         for i in (0, 7):

@@ -10,6 +10,7 @@ from charvar import (
     levi_table,
     min_bds_codim,
     min_levi_codim,
+    rootsys,
 )
 
 import golden_tables as g
@@ -212,3 +213,31 @@ class TestGradingSums:
         assert got == (g.min_levi_classical(t.family, t.rank),
                        g.min_bds_classical(t.family, t.rank))
         assert elapsed < 1.0, f"{name} minima took {elapsed:.2f}s"
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("name", ["A9", "B7", "C8", "D12", "E6", "E8", "F4", "G2"])
+    def test_each_node_graded_once(self, name, monkeypatch):
+        # both tables, their minima and the marks read one pass of gradings
+        t, graded, grading = T(name), [], rootsys.grading
+        monkeypatch.setattr(rootsys, "grading", lambda s, i: graded.append(i) or grading(s, i))
+        rootsys.gradings.cache_clear()
+        levi_table(t), min_levi_codim(t), bds_table(t), min_bds_codim(t), highest_root(t)
+        assert graded == list(range(1, t.rank + 1))
+        rootsys.gradings.cache_clear()
+
+    def test_caches_are_bounded(self):
+        # one gradings entry at the rank ceiling is about 1 MB
+        for cache in (rootsys.gradings, rootsys.canonical_pieces):
+            assert 0 < cache.cache_info().maxsize <= 256, cache
+
+    def test_tables_are_fresh_lists(self):
+        t = T("E8")
+        for table in (levi_table, bds_table):
+            rows = table(t)
+            rows.clear()
+            assert table(t) and table(t) is not table(t)
+        # a Z_m is frozen, so the rows of one mark share it
+        index = {}
+        for rec in bds_table(t):
+            assert index.setdefault(rec.mark, rec.index_group) is rec.index_group
