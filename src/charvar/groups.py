@@ -80,22 +80,29 @@ def _normalise(parts) -> Primary:
     return primary
 
 
-def _primary_of(moduli: Counter) -> Primary:
-    """Primary form of the sum of `count` copies of Z_m over `moduli`.
+def _primary_of(moduli) -> Primary:
+    """Primary form of the sum of Z_m over the sequence `moduli`.
 
     An order <= 0 is reported first.  The lcm of the moduli, the largest
     invariant factor, is checked against MAX_FACTOR_BITS as it grows,
     before any base is built."""
-    for m in moduli:
+    counts = Counter(moduli) if len(moduli) > 1 else dict.fromkeys(moduli, 1)
+    for m in counts:
         if m <= 0:
             raise CharvarError(f"invalid cyclic order {m}")
     largest = 1
-    for m in moduli:
+    for m in counts:
         largest = math.lcm(largest, m)
         if largest.bit_length() > MAX_FACTOR_BITS:
             raise CharvarError(f"an invariant factor of at least {largest.bit_length()} bits"
                                f" is above the ceiling of {MAX_FACTOR_BITS} bits")
-    return _normalise([(m, {1: count}) for m, count in moduli.items()])
+    return _normalise([(m, {1: count}) for m, count in counts.items()])
+
+
+def _check_factor_bits(largest: int) -> None:
+    if largest.bit_length() > MAX_FACTOR_BITS:
+        raise CharvarError(f"an invariant factor of {largest.bit_length()} bits is above"
+                           f" the ceiling of {MAX_FACTOR_BITS} bits")
 
 
 def _invariant_factors(primary: Primary) -> tuple[int, ...]:
@@ -104,7 +111,17 @@ def _invariant_factors(primary: Primary) -> tuple[int, ...]:
     The i-th largest factor is the product of each key's i-th largest
     power.  A key's power drops only at the slot where its count for one
     exponent runs out, so the factors are constant between those slots.
+    An empty form has no factors, and a form of one Z_{b^e} is b^e repeated.
     """
+    if not primary:
+        return ()
+    if len(primary) == 1:
+        [(b, counts)] = primary.items()
+        if len(counts) == 1:  # one factor, repeated
+            [(e, count)] = counts.items()
+            factor = b**e
+            _check_factor_bits(factor)
+            return (factor,) * count
     largest = 1
     drops: dict[int, int] = defaultdict(lambda: 1)  # slot -> what the factor loses there
     for b, counts in primary.items():
@@ -114,9 +131,7 @@ def _invariant_factors(primary: Primary) -> tuple[int, ...]:
         for e, lower in zip(exponents, exponents[1:] + [0]):
             slot += counts[e]
             drops[slot] *= b ** (e - lower)
-    if largest.bit_length() > MAX_FACTOR_BITS:
-        raise CharvarError(f"an invariant factor of {largest.bit_length()} bits is above"
-                           f" the ceiling of {MAX_FACTOR_BITS} bits")
+    _check_factor_bits(largest)
     runs = []  # (factor, how many), largest first
     factor, start = largest, 0
     for slot in sorted(drops):
@@ -142,7 +157,9 @@ class FgAbelianGroup:
     free rank plus its primary form, a count of summands Z_{b^e} for each
     power of a key b of a coprime base: powers multiply the counts, and sums
     refine the summands' keys into one base by gcds alone.  `invariant_factors`
-    (d_1 | d_2 | ...) is derived from the counts.  A group built from its
+    (d_1 | d_2 | ...) is derived from the counts only where the primary form
+    changes: a sum with at most one torsion summand keeps that summand's
+    factors and form and adds the free ranks.  A group built from its
     fields (the constructor, `cyclic`) derives its primary form on first use.
     ``known=False`` is the Unknown marker; it absorbs direct sums.
     """
@@ -168,15 +185,14 @@ class FgAbelianGroup:
         if free_rank < 0:
             raise CharvarError("negative free rank")
         group = cls.__new__(cls)
-        for name, value in (("free_rank", free_rank), ("known", True), ("_primary", primary),
-                            ("invariant_factors", _invariant_factors(primary))):
-            object.__setattr__(group, name, value)
+        vars(group).update(free_rank=free_rank, known=True, _primary=primary,
+                           invariant_factors=_invariant_factors(primary))
         return group
 
     def _primary_form(self) -> Primary:
         primary = self.__dict__.get("_primary")
         if primary is None:
-            primary = _primary_of(Counter(self.invariant_factors))
+            primary = _primary_of(self.invariant_factors)
             object.__setattr__(self, "_primary", primary)
         return primary
 
@@ -201,16 +217,22 @@ class FgAbelianGroup:
     @classmethod
     def from_torsion(cls, moduli, free_rank: int = 0) -> "FgAbelianGroup":
         """Normalize an arbitrary list of cyclic orders to invariant factors."""
-        return cls._from_primary(free_rank, _primary_of(Counter(moduli)))
+        return cls._from_primary(free_rank, _primary_of(tuple(moduli)))
 
     def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
         """The direct sum of this group and any number of others."""
         summands = (self, *others)
         if not all(a.known for a in summands):
             return FgAbelianGroup.unknown()
-        primary = _normalise([part for a in summands if a.invariant_factors
-                              for part in a._primary_form().items()])
-        return FgAbelianGroup._from_primary(sum(a.free_rank for a in summands), primary)
+        free_rank = sum(a.free_rank for a in summands)
+        torsion = [a for a in summands if a.invariant_factors]
+        if len(torsion) > 1:
+            primary = _normalise([part for a in torsion for part in a._primary_form().items()])
+            return FgAbelianGroup._from_primary(free_rank, primary)
+        # A + Z^n has the torsion of A: its factors and primary form are kept
+        group = FgAbelianGroup.__new__(FgAbelianGroup)
+        vars(group).update(vars(torsion[0] if torsion else self), free_rank=free_rank)
+        return group
 
     def power(self, n: int) -> "FgAbelianGroup":
         if n < 0:

@@ -46,6 +46,8 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
         if torsion_text not in ("?", "-"):
             raise CharvarError(f"torsion {torsion_text!r} after an unknown free rank: use ? or -")
         return FgAbelianGroup.unknown()
+    if torsion_text == "?":
+        raise CharvarError("torsion '?' needs an unknown free rank: use ? ?")
     torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
     free_rank = int(free_text)
     if free_rank > MAX_RANK:

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 import time
 
@@ -152,8 +154,12 @@ class TestFgAbelianGroup:
 
 class TestPrimaryForm:
     @given(st.lists(st.tuples(moduli, st.integers(min_value=0, max_value=2), st.booleans()),
-                    min_size=1, max_size=4))
-    def test_direct_sum_matches_oracles(self, parts):
+                    min_size=1, max_size=4),
+           st.tuples(st.just([]), st.integers(min_value=0, max_value=2), st.booleans()),
+           st.integers(min_value=0, max_value=4))
+    def test_direct_sum_matches_oracles(self, parts, free_only, at):
+        # a free-only summand anywhere leaves the torsion of the others
+        parts = parts[:at] + [free_only] + parts[at:]
         summands = [built(*part) for part in parts]
         total = summands[0].direct_sum(*summands[1:])
         everything = [m for ms, _, _ in parts for m in ms]
@@ -161,6 +167,51 @@ class TestPrimaryForm:
         if len(everything) <= 12:
             assert total.invariant_factors == snf_factors(everything)
         assert total.free_rank == sum(free for _, free, _ in parts)
+
+    @pytest.mark.parametrize("from_fields", [False, True])
+    def test_one_torsion_summand_is_kept(self, from_fields, monkeypatch):
+        # A + Z^n has the torsion of A: nothing is normalised or re-derived
+        torsion = built([4, 6, 9, 9], 1, from_fields)
+        others = [FgAbelianGroup.free(2), FgAbelianGroup.trivial(),
+                  FgAbelianGroup.from_torsion([1, 1], free_rank=3)]
+        calls = []
+        for name in ("_normalise", "_invariant_factors"):
+            derive = getattr(groups, name)
+            monkeypatch.setattr(groups, name,
+                                lambda arg, name=name, derive=derive: calls.append(name) or derive(arg))
+        for summands in itertools.permutations([torsion, *others]):
+            total = summands[0].direct_sum(*summands[1:])
+            assert total == FgAbelianGroup(free_rank=6, invariant_factors=(3, 18, 36))
+            assert total.invariant_factors is torsion.invariant_factors
+            assert vars(total).get("_primary") is vars(torsion).get("_primary")
+        assert others[0].direct_sum(*others[1:]) == FgAbelianGroup.free(5)
+        assert calls == []
+        # two torsion summands change the primary form
+        assert torsion.direct_sum(*others, torsion).invariant_factors == (3, 3, 18, 18, 36, 36)
+        assert {"_normalise", "_invariant_factors"} <= set(calls)
+
+    @given(st.lists(fga, min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from(["direct_sum", "power", "from_torsion"]),
+                              st.integers(min_value=0, max_value=20),
+                              st.integers(min_value=0, max_value=20)), max_size=8))
+    def test_operands_are_never_mutated(self, pool, steps):
+        # results share their operands' forms, so no operation may change one
+        def snapshot():
+            return copy.deepcopy([(g.free_rank, g.invariant_factors, g._primary_form())
+                                  for g in pool])
+
+        for op, i, j in steps:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            before = snapshot()
+            if op == "direct_sum":
+                result = a.direct_sum(b, *pool[j % len(pool):])
+            elif op == "power":
+                result = a.power(j % 4)
+            else:
+                result = FgAbelianGroup.from_torsion(a.invariant_factors + b.invariant_factors,
+                                                     free_rank=b.free_rank)
+            assert snapshot() == before
+            pool.append(result)
 
     @given(moduli, st.integers(min_value=0, max_value=2), st.booleans(),
            st.integers(min_value=0, max_value=40))

@@ -287,6 +287,7 @@ class TestExceptionalDatabase:
         ("D4 ad 7 1 - x", "D4 is classical: only E6-E8, F4 and G2 are stored"),
         ("E6 any 10 ? banana x", "torsion 'banana' after an unknown free rank: use ? or -"),
         ("E6 any 10 ? 2 x", "torsion '2' after an unknown free rank: use ? or -"),
+        ("E6 any 11 1 ? x", "torsion '?' needs an unknown free rank: use ? ?"),
     ])
     def test_text_the_loader_would_drop_is_refused(self, tmp_path, text, error):
         # pi_k of a classical type come from Bott's table, and an unknown
