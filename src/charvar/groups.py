@@ -328,7 +328,7 @@ def parse_group(text: str) -> GroupDescriptor:
             continue
         m = _FACTOR_RE.match(term)
         if not m:
-            raise CharvarError(f"cannot parse factor {term!r}")
+            raise CharvarError(f"cannot parse factor {term!r} in {text!r}")
         t = SimpleType.parse(m.group(1))
         iso = Isogeny(m.group(2) or "sc")
         factors.append((t, iso))

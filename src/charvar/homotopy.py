@@ -73,7 +73,8 @@ def load_database(path) -> HomotopyDatabase:
         raise CharvarError(f"database {path}: {exc}") from None
     if len(text) > MAX_DB_CHARS:
         raise CharvarError(f"database {path}: longer than the ceiling of {MAX_DB_CHARS} characters")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # text mode read \r\n and \r as \n; splitlines() would break a provenance at \x0c, U+2028...
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,9 +1,9 @@
 """Exact integer root-system data for the simple Lie types.
 
-The data (dimensions, marks, gradings, centers, the types left by
-deleting a node) are closed forms or tables from Bourbaki, Lie
-Groups ch. VI, plates I-IX; nothing here enumerates roots or builds a
-Dynkin diagram (the tests check these tables against both).  Node
+The data (dimensions, marks, gradings, centers, canonical label pieces)
+are closed forms or tables from Bourbaki, Lie Groups ch. VI, plates I-IX;
+nothing here enumerates roots or builds a Dynkin diagram (the tests check
+these tables against both).  `subalg` names the types a node leaves.  Node
 numbering follows Bourbaki (A/B/C/D chains numbered left to right, the
 branch node of E6/E7/E8 is node 4 with node 2 hanging off it, G2 has the
 short root first).  There is no floating point anywhere.
@@ -36,18 +36,6 @@ _EXCEPTIONAL_GRADINGS = {
     ("G", 2): ((2, 1, 2), (4, 1)),
 }
 _EXCEPTIONAL_CENTERS = {("E", 6): (3,), ("E", 7): (2,)}  # trivial for E8, F4, G2
-# Per node, the types left when it is deleted from the diagram and from the
-# extended diagram (a node of mark 1 leaves the type itself).
-_EXCEPTIONAL_SUBSYSTEMS = {
-    ("E", 6): (("D5", "E6"), ("A5", "A1+A5"), ("A1+A4", "A1+A5"), ("A1+A2+A2", "A2+A2+A2"),
-               ("A1+A4", "A1+A5"), ("D5", "E6")),
-    ("E", 7): (("D6", "A1+D6"), ("A6", "A7"), ("A1+A5", "A2+A5"), ("A1+A2+A3", "A1+A3+A3"),
-               ("A2+A4", "A2+A5"), ("A1+D5", "A1+D6"), ("E6", "E7")),
-    ("E", 8): (("D7", "D8"), ("A7", "A8"), ("A1+A6", "A1+A7"), ("A1+A2+A4", "A1+A2+A5"),
-               ("A3+A4", "A4+A4"), ("A2+D5", "A3+D5"), ("A1+E6", "A2+E6"), ("E7", "A1+E7")),
-    ("F", 4): (("C3", "A1+C3"), ("A1+A2", "A2+A2"), ("A1+A2", "A1+A3"), ("B3", "B4")),
-    ("G", 2): (("A1", "A2"), ("A1", "A1+A1")),
-}
 
 # Low-rank coincidences.  These labels are rejected at construction; the
 # value names the canonical isomorphic types.
@@ -147,46 +135,15 @@ def gradings(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(grading(t, i) for i in range(1, t.rank + 1))
 
 
-def _labels(text: str) -> tuple[SimpleType, ...]:
-    return tuple(map(SimpleType.parse, text.split("+")))
-
-
 # Keyed by (family, rank), a few hundred bytes an entry: large enough that the
 # Levi and BdS tables of a type up to rank about 80 share their X_{n-k} pieces.
 @functools.lru_cache(maxsize=256)
 def canonical_pieces(family: str, rank: int) -> tuple[SimpleType, ...]:
     """The simple pieces of the classical label family + rank: none at rank 0,
     the canonical types of an alias (D2 is A1 + A1), else the label itself."""
-    if rank == 0:
-        return ()
-    alias = _ALIASES.get((family, rank))
-    return _labels(alias) if alias else (SimpleType(family, rank),)
-
-
-def subsystem_types(t: SimpleType, k: int, *, extended: bool = False) -> tuple[SimpleType, ...]:
-    """The sorted types left when node k is deleted from the diagram of t, or
-    from its extended diagram, read off the chains on the plates (Bourbaki,
-    Lie Groups ch. VI, plates I-IX) without building or classifying a diagram.
-
-    For A-D the diagram splits at node k into A_{k-1} + X_{n-k} (A_{n-1} at
-    the two short arms n-1, n of D_n); the extended diagram splits at a node
-    of mark 2 into D_k + B_{n-k}, C_k + C_{n-k} or D_k + D_{n-k}, and a node
-    of mark 1 leaves t itself.
-    """
-    f, n = t.family, t.rank
-    if not 1 <= k <= n:
-        raise CharvarError(f"node {k} out of range for {t}")
-    if f in "EFG":
-        return _labels(_EXCEPTIONAL_SUBSYSTEMS[f, n][k - 1][extended])
-    if extended:
-        if len(gradings(t)[k - 1]) == 1:  # a node of mark 1
-            return (t,)
-        pieces = canonical_pieces("C" if f == "C" else "D", k) + canonical_pieces(f, n - k)
-    elif f == "D" and k >= n - 1:
-        pieces = canonical_pieces("A", n - 1)
-    else:
-        pieces = canonical_pieces("A", k - 1) + canonical_pieces(f, n - k)
-    return tuple(sorted(pieces))
+    if (family, rank) not in _ALIASES:
+        return (SimpleType(family, rank),) if rank else ()
+    return tuple(map(SimpleType.parse, _ALIASES[family, rank].split("+")))
 
 
 def center_orders(t: SimpleType) -> tuple[int, ...]:

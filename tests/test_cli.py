@@ -488,6 +488,14 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("descriptor,factor", [("A1[xx]", "A1["), ("A1x", ""),
+                                                   ("T^1 x A3 x Q2", "Q2")])
+    def test_bad_factor_names_the_descriptor(self, descriptor, factor):
+        # the parser splits at every x, so the factor alone can hide the input
+        code, out, err = invoke("codim", descriptor, "-r", "2")
+        assert code == 1 and not out
+        assert err == f"error: cannot parse factor {factor!r} in {descriptor!r}\n"
+
     def test_database_not_utf8_exit_1(self, tmp_path):
         db = tmp_path / "pi.txt"
         db.write_bytes(b"G2 any 6 0 3 \xff\n")

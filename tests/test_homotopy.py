@@ -297,6 +297,26 @@ class TestExceptionalDatabase:
         with pytest.raises(CharvarError, match=f"^database line 2: {re.escape(error)}$"):
             load_database(path)
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_lines_end_only_at_newline(self, tmp_path, char):
+        # str.splitlines() would end a line at each of these characters
+        path = tmp_path / "pi.txt"
+        path.write_text(f"G2 any 6 0 3 Mimura{char}Toda\nG2 any 5 0 - x\n", encoding="utf-8")
+        db = load_database(path)
+        assert db[T("G2"), 6].source == f"Mimura{char}Toda"
+        assert (db[T("G2"), 6].line, db[T("G2"), 5].line) == (1, 2)
+        path.write_text(f"G2 any 6 0 3 a{char}b\nG2 any 5 0 x c\n", encoding="utf-8")
+        with pytest.raises(CharvarError, match=r"^database line 2: "):
+            load_database(path)
+
+    def test_crlf_and_cr_lines(self, tmp_path):
+        path = tmp_path / "pi.txt"
+        for newline in ("\r\n", "\r"):
+            path.write_bytes(f"G2 any 6 0 3 a{newline}G2 any 5 0 - b{newline}".encode())
+            db = load_database(path)
+            assert (db[T("G2"), 6].source, db[T("G2"), 5].line) == ("a", 2), repr(newline)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"E6 any 6 0 - caf\xff\n")

@@ -17,7 +17,7 @@ from charvar import (
     parabolic_weights,
     pi_simple,
 )
-from charvar.rootsys import MAX_RANK, canonical_pieces, grading, gradings, subsystem_types
+from charvar.rootsys import MAX_RANK, canonical_pieces, grading, gradings
 
 from diagrams import (
     cartan_matrix,
@@ -276,14 +276,7 @@ class TestSubsystemTypes:
         ext = extended_diagram(t)
         for k, mark in enumerate(highest_root(t), start=1):
             if mark == 1:
-                assert subsystem_types(t, k, extended=True) == (t,)
                 assert classify_diagram(ext.without_node(k)) == [t], (t, k)
-
-    def test_bad_node_rejected(self):
-        for t, k in [(T("E6"), 0), (T("E6"), 7), (T("D5"), 6)]:
-            for extended in (False, True):
-                with pytest.raises(CharvarError, match="out of range"):
-                    subsystem_types(t, k, extended=extended)
 
 
 # what moved from charvar.rootsys to tests/diagrams.py

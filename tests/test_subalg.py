@@ -18,6 +18,10 @@ from diagrams import classify_diagram, diagram_of, extended_diagram, positive_ro
 from golden_tables import ALL_TYPES, T, types, types_up_to
 from snf import smith_normal_form
 
+# the derived types are checked against enumerated diagrams up to rank 40;
+# these check the chain rules against the closed forms at large rank
+LARGE_CLASSICAL = [(f, 2000) for f in "ABCD"]
+
 
 class TestLeviExceptional:
     @pytest.mark.parametrize("name", g.ALL_EXCEPTIONAL)
@@ -38,7 +42,7 @@ class TestLeviExceptional:
 
 
 class TestLeviClassical:
-    @pytest.mark.parametrize("family,rank", g.ALL_CLASSICAL)
+    @pytest.mark.parametrize("family,rank", g.ALL_CLASSICAL + LARGE_CLASSICAL)
     def test_table(self, family, rank):
         t = g.SimpleType(family, rank)
         expected = g.levi_classical(family, rank)
@@ -85,7 +89,7 @@ class TestBdSExceptional:
 
 
 class TestBdSClassical:
-    @pytest.mark.parametrize("family,rank", g.ALL_CLASSICAL)
+    @pytest.mark.parametrize("family,rank", g.ALL_CLASSICAL + LARGE_CLASSICAL)
     def test_table(self, family, rank):
         t = g.SimpleType(family, rank)
         expected = g.bds_classical(family, rank)
