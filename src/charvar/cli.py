@@ -4,21 +4,24 @@ Each subcommand computes one record (the classification tables or a
 per-group answer) and a text layout; `_emit` writes the text, the record
 as JSON, or its listed columns as CSV.  Exit codes: 0 success, 1 domain
 error, 2 usage error.
+
+Each call is one process, so each subcommand imports its own layers, and
+`_emit` imports `json` or `csv` only for its format: `roots` loads
+`rootsys` and `errors` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import bounds, homotopy, localmodel, subalg
 from .errors import CharvarError
-from .groups import FgAbelianGroup, is_ci, parse_group
 from .rootsys import SimpleType, dimension, highest_root
+
+if TYPE_CHECKING:
+    from .groups import FgAbelianGroup
 
 
 def fga_to_json(a: FgAbelianGroup) -> dict[str, Any]:
@@ -32,10 +35,12 @@ def fga_to_json(a: FgAbelianGroup) -> dict[str, Any]:
 def _json_default(value):
     """The JSON form of what a record holds beyond plain data: groups as
     objects, types as labels."""
-    if isinstance(value, FgAbelianGroup):
-        return fga_to_json(value)
     if isinstance(value, SimpleType):
         return str(value)
+    from .groups import FgAbelianGroup
+
+    if isinstance(value, FgAbelianGroup):
+        return fga_to_json(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -57,6 +62,8 @@ def _emit(fmt, lines, record, columns, out) -> None:
     """Render one command: the text layout, the record as JSON, or the
     listed columns as CSV with one row per table row."""
     if fmt == "json":
+        import json
+
         chunks, size = [], 0
         for chunk in json.JSONEncoder(indent=2, default=_json_default).iterencode(record):
             chunks.append(chunk)
@@ -66,6 +73,8 @@ def _emit(fmt, lines, record, columns, out) -> None:
                 chunks, size = [], 0
         out.write("".join(chunks) + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_cell(row[c]) for c in columns] for row in record.get("rows", [record]))
@@ -74,6 +83,8 @@ def _emit(fmt, lines, record, columns, out) -> None:
 
 
 def _cmd_table_levi(t, args):
+    from . import subalg
+
     rows = [{"k": rec.node, "derived_type": rec.derived_type,
              "levi_dim": rec.levi_dim, "codim": rec.codim}
             for rec in subalg.levi_table(t)]
@@ -86,6 +97,8 @@ def _cmd_table_levi(t, args):
 
 
 def _cmd_table_bds(t, args):
+    from . import subalg
+
     rows = [{"k": rec.node, "mark": rec.mark, "bds_type": rec.bds_type,
              "codim": rec.codim, "index_group": rec.index_group}
             for rec in subalg.bds_table(t)]
@@ -100,6 +113,8 @@ def _cmd_table_bds(t, args):
 
 
 def _cmd_codim(g, args):
+    from . import bounds
+
     rep = bounds.codim_report(g, args.free_rank)
     record = {
         "group": str(g), "r": rep.r, "lower_bound": True,
@@ -117,6 +132,8 @@ def _cmd_codim(g, args):
 
 
 def _cmd_homotopy(g, args):
+    from . import homotopy
+
     path = args.db or os.environ.get("CHARVAR_DB")
     db = homotopy.load_database(path) if path else None
     res = homotopy.good_locus_homotopy(g, args.free_rank, args.degree, db)
@@ -132,12 +149,16 @@ def _cmd_homotopy(g, args):
 
 
 def _cmd_ci(g, args):
+    from .groups import is_ci
+
     verdict, witness = is_ci(g)
     lines = [f"CI({g}): {'true' if verdict else 'false'}", f"  {witness}"]
     return lines, {"group": str(g), "ci": verdict, "witness": witness}, ("group", "ci", "witness")
 
 
 def _cmd_singular_locus(g, args):
+    from . import bounds
+
     rep = bounds.classify_singular_locus(g, args.free_rank)
     record = {"group": str(g), "r": args.free_rank,
               "verdict": rep.verdict.value, "statements": rep.statements}
@@ -148,6 +169,8 @@ def _cmd_singular_locus(g, args):
 
 
 def _cmd_local_model(t, args):
+    from . import localmodel
+
     w = localmodel.parabolic_weights(t, args.node, args.free_rank)
     singular = localmodel.is_topologically_singular(w)
     m = w.positive_weight_total() - 1
@@ -178,6 +201,12 @@ def _cmd_roots(t, args):
     return lines, record, ("type", "positive_roots", "dimension", "marks")
 
 
+def _parse_group(spec):
+    from .groups import parse_group
+
+    return parse_group(spec)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charvar",
@@ -187,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each subcommand's positional is a simple type or a group spec, read once
     subjects = {"type": (SimpleType.parse, "simple type, e.g. E8 or B5"),
-                "group": (parse_group, "group spec, e.g. 'T^1 x A3[sc]'")}
+                "group": (_parse_group, "group spec, e.g. 'T^1 x A3[sc]'")}
 
     def add(name, func, subject, **needs):
         parse, example = subjects[subject]

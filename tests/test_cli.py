@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import importlib
 import io
@@ -640,22 +641,74 @@ def test_db_fuzz(tmp_path_factory, lines, group, k):
         assert out and not err
 
 
+def fresh_charvar(*argv, flags=()):
+    """`python [flags] -m charvar.cli argv` in a fresh interpreter."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("CHARVAR_DB", None)
+    return subprocess.run([sys.executable, *flags, "-m", "charvar.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestEntryPoint:
     """`python -m charvar.cli` runs `main()` in a fresh interpreter."""
 
-    def charvar(self, *argv):
-        src = str(pathlib.Path(__file__).parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        env.pop("CHARVAR_DB", None)
-        return subprocess.run([sys.executable, "-m", "charvar.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-
     def test_success_matches_run(self):
-        proc = self.charvar("roots", "E8", "--format", "json")
+        proc = fresh_charvar("roots", "E8", "--format", "json")
         assert proc.returncode == 0
         assert proc.stdout == invoke("roots", "E8", "--format", "json")[1]
 
     def test_domain_error(self):
-        proc = self.charvar("table-levi", "B1")
+        proc = fresh_charvar("table-levi", "B1")
         assert proc.returncode == 1 and not proc.stdout
         assert proc.stderr.startswith("error:")
+
+
+# The charvar modules each subcommand loads in a fresh process (beside the
+# package itself, whose import loads nothing).
+CHAINS = {
+    "roots": {"rootsys", "errors"},
+    "ci": {"groups", "rootsys", "errors"},
+    "table-levi": {"subalg", "groups", "rootsys", "errors"},
+    "table-bds": {"subalg", "groups", "rootsys", "errors"},
+    "codim": {"bounds", "groups", "rootsys", "errors"},
+    "singular-locus": {"bounds", "groups", "rootsys", "errors"},
+    "local-model": {"localmodel", "bounds", "groups", "rootsys", "errors"},
+    "homotopy": {"homotopy", "bounds", "groups", "rootsys", "errors"},
+}
+# One transcript per subcommand, run in its own process.
+FRESH = ("roots_E8", "ci_T1xA2sc", "table-levi_E7", "table-bds_E8", "codim_T1xA3sc_r3",
+         "singular-locus_E8_r1", "local-model_G2_i1_r3", "homotopy_E7ad_r2_k1")
+
+
+@functools.cache
+def fresh_transcript(name, fmt):
+    """One transcript in a fresh `python -v -m charvar.cli` process: the
+    process and the modules it loaded, read off the verbose import log on
+    stderr (which records every load, however it was triggered)."""
+    proc = fresh_charvar(*TRANSCRIPTS[name], "--format", fmt, flags=("-v",))
+    return proc, set(re.findall(r"^import '([\w.]+)' #", proc.stderr, re.M))
+
+
+class TestFreshProcess:
+    """In process, every module is already loaded; a subcommand that forgot
+    its own import would pass there and fail for users."""
+
+    def test_chains_cover_every_subcommand(self):
+        commands = {argv[0] for argv in TRANSCRIPTS.values()}
+        assert {TRANSCRIPTS[name][0] for name in FRESH} == set(CHAINS) == commands
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", FRESH)
+    def test_loads_only_its_chain(self, name, fmt):
+        loaded = fresh_transcript(name, fmt)[1]
+        chain = {m.removeprefix("charvar.") for m in loaded if m.startswith("charvar.")}
+        assert chain == CHAINS[TRANSCRIPTS[name][0]]
+        assert ("json" in loaded, "csv" in loaded) == (fmt == "json", fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", FRESH)
+    def test_transcript(self, name, fmt):
+        proc = fresh_transcript(name, fmt)[0]
+        assert proc.returncode == 0
+        assert proc.stdout == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
