@@ -1,7 +1,9 @@
 """Codimension lower bounds and the singular-locus classification report.
 
-All codimension outputs are lower bounds read off the subalgebra tables,
-never exact values; callers should present them with a ">=".
+All codimension outputs are lower bounds read off the factors' ranks, never
+exact values: 2(r-1) times the minimum simple rank for the bad locus and
+(r-1) times the semisimple rank for the reducible locus.  Callers should
+present them with a ">="; `errors.require_r` checks every r.
 """
 
 from __future__ import annotations
@@ -9,21 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import CharvarError
+from .errors import require_r
 from .groups import GroupDescriptor, min_simple_rank
-
-
-# Largest free-group rank r.  Codimensions, weights and pi_k ranks grow
-# linearly in r and are printed; 10**11 still reaches the M and factor ceilings.
-MAX_FREE_RANK = 10**12
-
-
-def _require_r(r: int, needs: str = "bounds require", least: int = 2) -> None:
-    """Every free-group rank is checked here: r >= least, r <= MAX_FREE_RANK."""
-    if r < least:
-        raise CharvarError(f"{needs} free-group rank r >= {least}")
-    if r > MAX_FREE_RANK:
-        raise CharvarError(f"free-group rank r is above the ceiling {MAX_FREE_RANK}")
 
 
 def codim_bad_lower(g: GroupDescriptor, r: int) -> int:
@@ -32,7 +21,7 @@ def codim_bad_lower(g: GroupDescriptor, r: int) -> int:
     2(r-1) times the minimum simple-factor rank.  For abelian g the bad
     locus is empty and the whole space's dimension r*dim(G) is returned.
     """
-    _require_r(r)
+    require_r(r)
     if g.is_abelian:
         return r * g.torus_rank
     return 2 * (r - 1) * min_simple_rank(g)
@@ -40,7 +29,7 @@ def codim_bad_lower(g: GroupDescriptor, r: int) -> int:
 
 def codim_red_lower(g: GroupDescriptor, r: int) -> int:
     """Lower bound on the complex codimension of the reducible locus."""
-    _require_r(r)
+    require_r(r)
     return (r - 1) * g.semisimple_rank
 
 
@@ -90,7 +79,7 @@ class SingularLocusReport:
 
 def classify_singular_locus(g: GroupDescriptor, r: int) -> SingularLocusReport:
     """Decide how much of the singular locus is classified for (g, r)."""
-    _require_r(r, "the singular-locus classification requires", least=1)
+    require_r(r, "the singular-locus classification requires", least=1)
     if g.is_abelian:
         return SingularLocusReport(
             Verdict.ABELIAN,

@@ -13,8 +13,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import CharvarError
-from .rootsys import MAX_RANK, SimpleType, center_orders
+from .errors import MAX_FACTOR_BITS, MAX_RANK, CharvarError, parse_digits, require_at_most
+from .rootsys import SimpleType, center_orders
 
 
 class Isogeny(enum.Enum):
@@ -26,11 +26,6 @@ class Isogeny(enum.Enum):
 # summands Z_{b^e} for each exponent e, every count positive.  A prime p of b
 # has v_p = v_p(b) e, so the invariant factors come out as if b were prime.
 Primary = dict[int, dict[int, int]]
-
-# CPython refuses to print an int of more than 4300 decimal digits, and an
-# answer is printed in full, so an invariant factor built from a primary form
-# has at most this many bits (2^14000 has 4215 digits).
-MAX_FACTOR_BITS = 14_000
 
 
 def _normalise(parts) -> Primary:
@@ -93,15 +88,14 @@ def _primary_of(moduli) -> Primary:
     largest = 1
     for m in counts:
         largest = math.lcm(largest, m)
-        if largest.bit_length() > MAX_FACTOR_BITS:
-            raise CharvarError(f"an invariant factor of at least {largest.bit_length()} bits"
-                               f" is above the ceiling of {MAX_FACTOR_BITS} bits")
+        _check_factor_bits(largest, "at least ")
     return _normalise([(m, {1: count}) for m, count in counts.items()])
 
 
-def _check_factor_bits(largest: int) -> None:
-    if largest.bit_length() > MAX_FACTOR_BITS:
-        raise CharvarError(f"an invariant factor of {largest.bit_length()} bits is above"
+def _check_factor_bits(factor: int, bound: str = "") -> None:
+    """`bound` is "at least " where `factor` only divides the largest factor."""
+    if factor.bit_length() > MAX_FACTOR_BITS:
+        raise CharvarError(f"an invariant factor of {bound}{factor.bit_length()} bits is above"
                            f" the ceiling of {MAX_FACTOR_BITS} bits")
 
 
@@ -277,8 +271,7 @@ class GroupDescriptor:
     def __post_init__(self) -> None:
         if self.torus_rank < 0:
             raise CharvarError("negative torus rank")
-        if self.torus_rank > MAX_RANK:
-            raise CharvarError(f"torus rank is above the ceiling {MAX_RANK}")
+        require_at_most(self.torus_rank, MAX_RANK, "torus rank")
 
     @property
     def semisimple_rank(self) -> int:
@@ -321,10 +314,7 @@ def parse_group(text: str) -> GroupDescriptor:
         if m:
             if idx != 0:
                 raise CharvarError("torus term must come first")
-            try:
-                torus = int(m.group(1))
-            except ValueError:  # more digits than int() converts
-                raise CharvarError("torus rank has too many digits") from None
+            torus = parse_digits(m.group(1), "torus rank")
             continue
         m = _FACTOR_RE.match(term)
         if not m:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import bounds
-from .errors import CharvarError
+from .errors import MAX_DB_CHARS, MAX_FACTORS, MAX_RANK, CharvarError, require_at_most, require_r
 from .groups import FgAbelianGroup, GroupDescriptor, Isogeny, center_group
-from .rootsys import MAX_RANK, SimpleType
+from .rootsys import SimpleType
 
 
 class Cell(NamedTuple):
@@ -34,13 +34,6 @@ class Cell(NamedTuple):
 HomotopyDatabase = dict[tuple[SimpleType, int], Cell]
 
 
-# pi_k(G)^r repeats each invariant factor of pi_k(G) r times, and the answer
-# is built and printed in full, so r times that count is bounded.
-MAX_FACTORS = 2 * 10**5
-# A database file is read whole before it is parsed, so its length is bounded.
-MAX_DB_CHARS = 10**6
-
-
 def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
     if free_text == "?":
         if torsion_text not in ("?", "-"):
@@ -50,8 +43,7 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
         raise CharvarError("torsion '?' needs an unknown free rank: use ? ?")
     torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
     free_rank = int(free_text)
-    if free_rank > MAX_RANK:
-        raise CharvarError(f"free rank is above the ceiling {MAX_RANK}")
+    require_at_most(free_rank, MAX_RANK, "free rank")
     return FgAbelianGroup.from_torsion(torsion, free_rank=free_rank)
 
 
@@ -160,7 +152,6 @@ def pi_simple(
 
 class Validity(enum.Enum):
     STABLE = "Stable"
-    PI0PI1PI2_HYPOTHESIS = "Pi0Pi1Pi2Hypothesis"
     OUT_OF_PROVEN_RANGE = "OutOfProvenRange"
 
 
@@ -172,14 +163,9 @@ class HomotopyResult:
 
 
 def _validity(g: GroupDescriptor, r: int, k: int) -> Validity:
-    if g.is_abelian:
-        # the variety is a torus and the formula is exact in every degree
-        return Validity.STABLE
-    if 0 <= k <= bounds.stable_range(g, r):
-        return Validity.STABLE
-    if k <= 2 and (r >= 3 or g.semisimple_rank >= 2):
-        return Validity.PI0PI1PI2_HYPOTHESIS
-    return Validity.OUT_OF_PROVEN_RANGE
+    # for abelian g the variety is a torus and the formula is exact in every degree
+    stable = g.is_abelian or 0 <= k <= bounds.stable_range(g, r)
+    return Validity.STABLE if stable else Validity.OUT_OF_PROVEN_RANGE
 
 
 def pi_group(g: GroupDescriptor, k: int, db: Optional[HomotopyDatabase] = None) -> FgAbelianGroup:
@@ -201,7 +187,7 @@ def good_locus_homotopy(
     The value is pi_k(G)^r + pi_{k-1}(PG); validity records whether the
     splitting is proven at this (g, r, k).
     """
-    bounds._require_r(r, "good-locus homotopy requires")
+    require_r(r, "good-locus homotopy requires")
     validity = _validity(g, r, k)
     if k == 0:
         return HomotopyResult(FgAbelianGroup.trivial(), validity, "pi_0 = 0")

@@ -2,7 +2,7 @@
 
 Weight profiles of the circle action on the slice, the topological
 singularity criterion, and the rational-homology support of the link of
-the cone point.
+the cone point.  Weights read `rootsys.grading`; r and M meet `errors`' ceilings.
 """
 
 from __future__ import annotations
@@ -11,13 +11,8 @@ from collections.abc import Set
 from dataclasses import dataclass
 from itertools import chain
 
-from .bounds import _require_r
-from .errors import CharvarError
+from .errors import MAX_M, CharvarError, require_r
 from .rootsys import SimpleType, grading
-
-# Largest M for which a homology support is given: it bounds the degree list
-# the CLI prints (2M + 2 numbers), not the support itself.
-MAX_M = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ def parabolic_weights(t: SimpleType, i: int, r: int) -> WeightProfile:
     alpha_i-coefficient n (`rootsys.grading`); each negative root mirrors a
     positive one."""
     counts = grading(t, i)
-    _require_r(r, "weight profiles require")
+    require_r(r, "weight profiles require")
     d = {s * n: (r - 1) * c for n, c in enumerate(counts, start=1) for s in (1, -1)}
     return WeightProfile(d, t, i, r)
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CharvarError
+from .errors import MAX_RANK, CharvarError, parse_digits, require_at_most
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4}
-# Largest rank of a classical type: marks and gradings are lists of n entries.
-MAX_RANK = 10**4
 _EXCEPTIONAL_DIMENSIONS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
 # The exceptional types (their keys are the only valid exceptional ranks) and,
 # per node, how many positive roots have coefficient 1, 2, ..., mark there.
@@ -69,19 +67,15 @@ class SimpleType:
                 raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
         elif self.rank < _RANK_BOUNDS[self.family]:
             raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
-        elif self.rank > MAX_RANK:
-            raise CharvarError(f"rank of {self.family} is above the ceiling {MAX_RANK}")
+        else:
+            require_at_most(self.rank, MAX_RANK, f"rank of {self.family}")
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         text = text.strip()
         if len(text) < 2 or text[0] not in "ABCDEFG" or not text[1:].isdecimal():
             raise CharvarError(f"cannot parse simple type {text!r}")
-        try:
-            rank = int(text[1:])
-        except ValueError:  # more digits than int() converts
-            raise CharvarError(f"rank of {text[0]} has too many digits") from None
-        return cls(text[0], rank)
+        return cls(text[0], parse_digits(text[1:], f"rank of {text[0]}"))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

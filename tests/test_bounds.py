@@ -19,7 +19,7 @@ from charvar import (
     min_levi_codim,
     stable_range,
 )
-from charvar.bounds import MAX_FREE_RANK
+from charvar.errors import MAX_FREE_RANK
 from charvar.rootsys import SimpleType
 
 from golden_tables import ALL_TYPES, types_up_to

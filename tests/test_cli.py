@@ -2,7 +2,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -17,11 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar import FgAbelianGroup, localmodel, subalg
-from charvar.bounds import MAX_FREE_RANK
+from charvar import FgAbelianGroup, errors, localmodel, subalg
 from charvar.cli import fga_to_json, run
-from charvar.homotopy import MAX_FACTORS
-from charvar.rootsys import MAX_RANK
+from charvar.errors import MAX_FACTORS, MAX_FREE_RANK, MAX_RANK
 
 import golden_tables as g
 
@@ -253,13 +250,16 @@ def override_db(path, torsion):
 
 class TestDatabaseOverride:
     def test_db_flag(self, tmp_path):
-        db = override_db(tmp_path / "pi.txt", 7)
-        code, out, _ = invoke("homotopy", "E6", "-r", "2", "-k", "10",
-                              "--db", db, "--format", "json")
-        assert code == 0
-        # (Z_7)^2 from the two G factors plus pi_9(PG) = Z
-        assert json.loads(out)["value"] == {"free_rank": 1, "torsion": [7, 7],
-                                            "known": True}
+        # five-field lines, with no provenance, load as well
+        bare = tmp_path / "bare.txt"
+        bare.write_text("E6 any 9 1 -\nE6 any 10 0 7\n")
+        for db in (override_db(tmp_path / "pi.txt", 7), str(bare)):
+            code, out, _ = invoke("homotopy", "E6", "-r", "2", "-k", "10",
+                                  "--db", db, "--format", "json")
+            assert code == 0
+            # (Z_7)^2 from the two G factors plus pi_9(PG) = Z
+            assert json.loads(out)["value"] == {"free_rank": 1, "torsion": [7, 7],
+                                                "known": True}
 
     def test_db_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARVAR_DB", override_db(tmp_path / "pi.txt", 11))
@@ -481,13 +481,13 @@ class TestExitCodes:
             assert code == 1 and not out
             assert err == f"error: database line 1: free rank is above the ceiling {MAX_RANK}\n"
 
-    @pytest.mark.parametrize("argv", [("roots", "A²"), ("roots", "A" + "1" * 4400),
-                                      ("ci", "T^" + "1" * 4400 + " x A1")],
-                             ids=["superscript", "long_rank", "long_torus"])
-    def test_unparsable_rank_exit_1(self, argv):
-        code, out, err = invoke(*argv)
-        assert code == 1 and not out
-        assert err.startswith("error: ") and err.count("\n") == 1
+    @pytest.mark.parametrize("argv,error", [
+        (("roots", "A²"), "cannot parse simple type 'A²'"),
+        (("roots", "D" + "1" * 4400), "rank of D has too many digits"),
+        (("ci", "T^" + "1" * 4400 + " x A1"), "torus rank has too many digits"),
+    ], ids=["superscript", "long_rank", "long_torus"])
+    def test_unparsable_rank_exit_1(self, argv, error):
+        assert invoke(*argv) == (1, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("descriptor,factor", [("A1[xx]", "A1["), ("A1x", ""),
                                                    ("T^1 x A3 x Q2", "Q2")])
@@ -535,14 +535,15 @@ class TestExitCodes:
 
 
 def test_readme_ceilings_match_code():
-    # the "Input ceilings" list spells each value as 10^e, c·10^e or digits
+    # the "Input ceilings" list names each ceiling as `errors.MAX_*`, the one
+    # module that defines them, and spells its value as 10^e, c·10^e or digits
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("Input ceilings:", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`(\w+)\.MAX_", section)) == {"errors"}
     named = {}
-    for module, name, spelled in re.findall(r"`(\w+)\.(MAX_\w+)` \(([^ ,)]+)", section):
+    for name, spelled in re.findall(r"`errors\.(MAX_\w+)` \(([^ ,)]+)", section):
         c, base, e = re.fullmatch(r"(?:(\d+)·)?(\d+)(?:\^(\d+))?", spelled).groups()
-        named[name] = (getattr(importlib.import_module(f"charvar.{module}"), name),
-                       int(c or 1) * int(base) ** int(e or 1))
+        named[name] = (getattr(errors, name), int(c or 1) * int(base) ** int(e or 1))
     assert sorted(named) == ["MAX_DB_CHARS", "MAX_FACTORS", "MAX_FACTOR_BITS", "MAX_FREE_RANK",
                              "MAX_M", "MAX_RANK"]
     for name, (code_value, readme_value) in named.items():
@@ -673,7 +674,7 @@ CHAINS = {
     "table-bds": {"subalg", "groups", "rootsys", "errors"},
     "codim": {"bounds", "groups", "rootsys", "errors"},
     "singular-locus": {"bounds", "groups", "rootsys", "errors"},
-    "local-model": {"localmodel", "bounds", "groups", "rootsys", "errors"},
+    "local-model": {"localmodel", "rootsys", "errors"},
     "homotopy": {"homotopy", "bounds", "groups", "rootsys", "errors"},
 }
 # One transcript per subcommand, run in its own process.

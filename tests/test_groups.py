@@ -19,6 +19,7 @@ from charvar import (
     parse_group,
     pi_group,
 )
+from charvar.errors import MAX_FACTOR_BITS
 
 from diagrams import cartan_matrix, det
 from golden_tables import T, types_up_to
@@ -243,16 +244,33 @@ class TestPrimaryForm:
         assert big.power(0) == FgAbelianGroup.trivial()
 
     def test_factor_bit_ceiling(self):
-        assert groups.MAX_FACTOR_BITS == 14_000
-        at = FgAbelianGroup.from_torsion([2 ** (groups.MAX_FACTOR_BITS - 1)])
-        assert at.invariant_factors[0].bit_length() == groups.MAX_FACTOR_BITS
+        assert MAX_FACTOR_BITS == 14_000
+        at = FgAbelianGroup.from_torsion([2 ** (MAX_FACTOR_BITS - 1)])
+        assert at.invariant_factors[0].bit_length() == MAX_FACTOR_BITS
         assert str(at).startswith("Z_")  # still printable
         with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
-            FgAbelianGroup.from_torsion([2 ** groups.MAX_FACTOR_BITS])
+            FgAbelianGroup.from_torsion([2 ** MAX_FACTOR_BITS])
         # coprime summands multiply into one factor, so sums are checked too
         with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
             FgAbelianGroup.from_torsion([2**7000]).direct_sum(
                 FgAbelianGroup.from_torsion([3**5000]))
+
+    def test_odd_factor_bit_ceiling(self):
+        # 3^8833 has exactly 14000 bits; no power of 3 has 14001, but 2^14000 + 1 has
+        at = FgAbelianGroup.from_torsion([3**8833])
+        assert at.invariant_factors == (3**8833,)
+        for past, bits in [(3**8834, 14002), (2**MAX_FACTOR_BITS + 1, 14001)]:
+            with pytest.raises(CharvarError, match=f"^an invariant factor of at least {bits} bits"
+                                                   f" is above the ceiling of 14000 bits$"):
+                FgAbelianGroup.from_torsion([past])
+        # a power and a sum meet the check on the factors built from a primary
+        # form: 2 * 3^8832 has 14000 bits and 2 * 3^8833 has 14001
+        two = FgAbelianGroup.cyclic(2)
+        built = FgAbelianGroup.from_torsion([3**8832]).power(2).direct_sum(two)
+        assert built.invariant_factors == (3**8832, 2 * 3**8832)
+        with pytest.raises(CharvarError, match="^an invariant factor of 14001 bits"
+                                               " is above the ceiling of 14000 bits$"):
+            at.power(2).direct_sum(two)
 
     def test_bit_ceiling_before_factorising(self, monkeypatch):
         # 2000 distinct primes near 10^9: their product has about 59800 bits
@@ -272,15 +290,15 @@ class TestPrimaryForm:
             FgAbelianGroup.from_torsion(primes + [0])
 
     @given(st.lists(smooth_modulus, min_size=1, max_size=5))
-    @example([2 ** (groups.MAX_FACTOR_BITS - 1)])
-    @example([2 ** groups.MAX_FACTOR_BITS])
+    @example([2 ** (MAX_FACTOR_BITS - 1)])
+    @example([2 ** MAX_FACTOR_BITS])
     @example([2**7000, 3**4416, 6])
     @example([2**7000, 3**4417, 6])
     @settings(deadline=None)
     def test_refused_exactly_past_the_bit_ceiling(self, ms):
         # the lcm of the moduli is the largest invariant factor
         lcm = math.lcm(*ms)
-        if lcm.bit_length() > groups.MAX_FACTOR_BITS:
+        if lcm.bit_length() > MAX_FACTOR_BITS:
             with pytest.raises(CharvarError, match="above the ceiling of 14000 bits"):
                 FgAbelianGroup.from_torsion(ms)
         else:

@@ -177,11 +177,13 @@ class TestExceptionalDatabase:
 
     def test_override_database(self, tmp_path):
         path = tmp_path / "pi.txt"
-        path.write_text("E6 any 10 0 7 hypothetical entry\n")
+        path.write_text("E6 any 10 0 7 hypothetical entry\nE6 any 11 0 5\n")
         db = load_database(path)
         assert pi_simple(T("E6"), SC, 10, db) == FgAbelianGroup.cyclic(7)
         # degrees absent from the override come back unknown
         assert pi_simple(T("E6"), SC, 9, db) == UNKNOWN
+        # the provenance field is optional: a five-field line has none
+        assert db[T("E6"), 11] == (FgAbelianGroup.cyclic(5), "", 2)
 
     def test_empty_override_replaces_default(self, tmp_path):
         path = tmp_path / "pi.txt"
@@ -270,7 +272,7 @@ class TestExceptionalDatabase:
         assert pi_simple(T("F4"), AD, 8, db) == FgAbelianGroup.cyclic(2)
 
     def test_length_ceiling(self, tmp_path, memory_cap):
-        from charvar.homotopy import MAX_DB_CHARS
+        from charvar.errors import MAX_DB_CHARS
 
         assert MAX_DB_CHARS == 10**6
         path = tmp_path / "pi.txt"

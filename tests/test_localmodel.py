@@ -13,7 +13,7 @@ from charvar import (
     is_topologically_singular,
     parabolic_weights,
 )
-from charvar.localmodel import MAX_M
+from charvar.errors import MAX_M
 
 from diagrams import positive_roots
 from golden_tables import ALL_TYPES, T

@@ -17,7 +17,8 @@ from charvar import (
     parabolic_weights,
     pi_simple,
 )
-from charvar.rootsys import MAX_RANK, canonical_pieces, grading, gradings
+from charvar.errors import MAX_RANK
+from charvar.rootsys import canonical_pieces, grading, gradings
 
 from diagrams import (
     cartan_matrix,
