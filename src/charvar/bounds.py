@@ -9,10 +9,10 @@ present them with a ">="; `errors.require_r` checks every r.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import require_r
 from .groups import GroupDescriptor, min_simple_rank
+from .rootsys import Frozen
 
 
 def codim_bad_lower(g: GroupDescriptor, r: int) -> int:
@@ -43,14 +43,22 @@ def stable_range(g: GroupDescriptor, r: int) -> int:
     return c_pasbon_lower(g, r) - 2
 
 
-@dataclass(frozen=True)
-class CodimReport:
+class CodimReport(Frozen):
     group: GroupDescriptor
     r: int
     bad_lower: int
     red_lower: int
     c_pasbon_lower: int
     stable_k_max: int
+
+    def __init__(self, group: GroupDescriptor, r: int, bad_lower: int, red_lower: int,
+                 c_pasbon_lower: int, stable_k_max: int) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "bad_lower", bad_lower)
+        object.__setattr__(self, "red_lower", red_lower)
+        object.__setattr__(self, "c_pasbon_lower", c_pasbon_lower)
+        object.__setattr__(self, "stable_k_max", stable_k_max)
 
 
 def codim_report(g: GroupDescriptor, r: int) -> CodimReport:
@@ -71,10 +79,13 @@ class Verdict(enum.Enum):
     ABELIAN = "Abelian"
 
 
-@dataclass(frozen=True)
-class SingularLocusReport:
+class SingularLocusReport(Frozen):
     verdict: Verdict
     statements: tuple[str, ...]
+
+    def __init__(self, verdict: Verdict, statements: tuple[str, ...]) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "statements", statements)
 
 
 def classify_singular_locus(g: GroupDescriptor, r: int) -> SingularLocusReport:

@@ -261,7 +261,25 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The `charvar` entry point: one call, one process.
+
+    The process ends without interpreter teardown, which frees every object
+    and module for nothing (mypy's `util.hard_exit` does the same), once the
+    output is flushed.  The normal exit is kept where it still has work: a
+    flush that fails (a closed pipe, a full device) is reported by it as
+    before, and a tracer or profiler (coverage, `python -m cProfile`) writes
+    its results in it.
+    """
+    code = run(sys.argv[1:])
+    if sys.gettrace() is None and sys.getprofile() is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):  # no stream, a failed or closed one
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,11 +36,17 @@ def require_at_most(value: int, ceiling: int, what: str) -> None:
         raise CharvarError(f"{what} is above the ceiling {ceiling}")
 
 
-def parse_digits(digits: str, what: str) -> int:
-    """int(digits) for a string of decimal digits, refused past what int() converts."""
+def parse_digits(text: str, what: str) -> int:
+    """int(text), refused past the digits int() converts (4300 by default).
+
+    Only that refusal is reworded: the ValueError of a text that is no
+    integer at all (`x`, `3,b`) passes through unchanged.
+    """
     try:
-        return int(digits)
-    except ValueError:
+        return int(text)
+    except ValueError as exc:
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
         raise CharvarError(f"{what} has too many digits") from None
 
 

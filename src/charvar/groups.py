@@ -11,10 +11,9 @@ import enum
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 from .errors import MAX_FACTOR_BITS, MAX_RANK, CharvarError, parse_digits, require_at_most
-from .rootsys import SimpleType, center_orders
+from .rootsys import Frozen, SimpleType, center_orders
 
 
 class Isogeny(enum.Enum):
@@ -143,8 +142,7 @@ def _invariant_factors(primary: Primary) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Frozen):
     """Finitely generated abelian group, printed in invariant-factor form.
 
     A group built by `from_torsion`, `direct_sum` or `power` is stored as its
@@ -158,24 +156,28 @@ class FgAbelianGroup:
     ``known=False`` is the Unknown marker; it absorbs direct sums.
     """
 
-    free_rank: int = 0
-    invariant_factors: tuple[int, ...] = ()
-    known: bool = True
+    free_rank: int
+    invariant_factors: tuple[int, ...]
+    known: bool
 
-    def __post_init__(self) -> None:
-        if self.known:
-            if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, invariant_factors: tuple[int, ...] = (),
+                 known: bool = True) -> None:
+        if known:
+            if free_rank < 0:
                 raise CharvarError("negative free rank")
-            for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+            for a, b in zip(invariant_factors, invariant_factors[1:]):
                 if b % a:
-                    raise CharvarError(f"not a divisibility chain: {self.invariant_factors}")
-            if any(d < 2 for d in self.invariant_factors):
+                    raise CharvarError(f"not a divisibility chain: {invariant_factors}")
+            if any(d < 2 for d in invariant_factors):
                 raise CharvarError("invariant factors must be >= 2")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "known", known)
 
     @classmethod
     def _from_primary(cls, free_rank: int, primary: Primary) -> "FgAbelianGroup":
         """Z^free_rank plus the primary form; `_invariant_factors` checks the
-        chain, so `__post_init__` is not run."""
+        chain, so `__init__` is not run."""
         if free_rank < 0:
             raise CharvarError("negative free rank")
         group = cls.__new__(cls)
@@ -261,17 +263,19 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Frozen):
     """A connected reductive group: central torus times simple factors."""
 
-    torus_rank: int = 0
-    factors: tuple[tuple[SimpleType, Isogeny], ...] = ()
+    torus_rank: int
+    factors: tuple[tuple[SimpleType, Isogeny], ...]
 
-    def __post_init__(self) -> None:
-        if self.torus_rank < 0:
+    def __init__(self, torus_rank: int = 0,
+                 factors: tuple[tuple[SimpleType, Isogeny], ...] = ()) -> None:
+        if torus_rank < 0:
             raise CharvarError("negative torus rank")
-        require_at_most(self.torus_rank, MAX_RANK, "torus rank")
+        require_at_most(torus_rank, MAX_RANK, "torus rank")
+        object.__setattr__(self, "torus_rank", torus_rank)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def semisimple_rank(self) -> int:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import bounds
-from .errors import MAX_DB_CHARS, MAX_FACTORS, MAX_RANK, CharvarError, require_at_most, require_r
+from .errors import (MAX_DB_CHARS, MAX_FACTORS, MAX_RANK, CharvarError, parse_digits,
+                     require_at_most, require_r)
 from .groups import FgAbelianGroup, GroupDescriptor, Isogeny, center_group
 from .rootsys import SimpleType
 
@@ -41,8 +42,9 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
         return FgAbelianGroup.unknown()
     if torsion_text == "?":
         raise CharvarError("torsion '?' needs an unknown free rank: use ? ?")
-    torsion = [] if torsion_text == "-" else [int(x) for x in torsion_text.split(",")]
-    free_rank = int(free_text)
+    torsion = ([] if torsion_text == "-" else
+               [parse_digits(x, "torsion modulus") for x in torsion_text.split(",")])
+    free_rank = parse_digits(free_text, "free rank")
     require_at_most(free_rank, MAX_RANK, "free rank")
     return FgAbelianGroup.from_torsion(torsion, free_rank=free_rank)
 
@@ -82,7 +84,7 @@ def load_database(path) -> HomotopyDatabase:
                 t = types[type_text] = SimpleType.parse(type_text)
             if t.family not in "EFG":
                 raise CharvarError(f"{t} is classical: only E6-E8, F4 and G2 are stored")
-            k = int(k_text)
+            k = parse_digits(k_text, "k")
             group = groups.get((free_text, torsion_text))
             if group is None:
                 group = groups[free_text, torsion_text] = _parse_group_field(free_text, torsion_text)

@@ -17,7 +17,6 @@ are bounded module-level functools caches.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import MAX_RANK, CharvarError, parse_digits, require_at_most
 
@@ -46,29 +45,86 @@ _ALIASES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A simple Lie-algebra type label such as A4, D7, or E8."""
+class Frozen:
+    """Base of the immutable value classes: what a frozen dataclass gives,
+    without importing `dataclasses`, which loads `inspect` and `ast` in every
+    process that defines one.
+
+    A subclass annotates its fields and sets them in `__init__` with
+    `object.__setattr__`; it then compares, hashes and prints by them, in
+    annotation order, and refuses assignment.  Copies and pickles restore the
+    instance `__dict__` directly, so they need nothing more (`__slots__` would
+    restore through the refusing `__setattr__`).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@functools.total_ordering
+class SimpleType(Frozen):
+    """A simple Lie-algebra type label such as A4, D7, or E8, ordered by
+    (family, rank)."""
 
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in "ABCDEFG":
-            raise CharvarError(f"unknown family {self.family!r}")
-        if (self.family, self.rank) in _ALIASES:
-            canonical = _ALIASES[(self.family, self.rank)]
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in "ABCDEFG":
+            raise CharvarError(f"unknown family {family!r}")
+        if (family, rank) in _ALIASES:
+            canonical = _ALIASES[(family, rank)]
             raise CharvarError(
-                f"{self.family}{self.rank} is an alias: use {canonical}"
+                f"{family}{rank} is an alias: use {canonical}"
                 + (" (not simple)" if "+" in canonical else "")
             )
-        if self.family in "EFG":
-            if (self.family, self.rank) not in _EXCEPTIONAL_GRADINGS:
-                raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
-        elif self.rank < _RANK_BOUNDS[self.family]:
-            raise CharvarError(f"invalid rank {self.rank} for family {self.family}")
+        if family in "EFG":
+            if (family, rank) not in _EXCEPTIONAL_GRADINGS:
+                raise CharvarError(f"invalid rank {rank} for family {family}")
+        elif rank < _RANK_BOUNDS[family]:
+            raise CharvarError(f"invalid rank {rank} for family {family}")
         else:
-            require_at_most(self.rank, MAX_RANK, f"rank of {self.family}")
+            require_at_most(rank, MAX_RANK, f"rank of {family}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    # Hand-written for speed: a type keys the gradings cache and is sorted
+    # in every table row.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.family == other.family and self.rank == other.rank
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) < (other.family, other.rank)
+        return NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":

@@ -18,9 +18,12 @@ of rows.  No diagram is built or classified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .groups import FgAbelianGroup
 from .rootsys import SimpleType, canonical_pieces, dimension, gradings
+
+if TYPE_CHECKING:
+    from .groups import FgAbelianGroup
 
 # Per node, the types left when it is deleted from the diagram and from the
 # extended diagram (a node of mark 1 leaves the type itself).
@@ -94,6 +97,8 @@ def bds_table(t: SimpleType) -> list[BdSRecord]:
     simple roots e_j (j != k), theta reduces to theta_k * e_k, so the
     quotient is Z_{theta_k}, cyclic of order the mark m.  Groups are frozen,
     so the rows of one mark share one Z_m."""
+    from .groups import FgAbelianGroup  # here alone, so `levi_table` never loads `groups`
+
     f, n = t.family, t.rank
     rows = [(k, c) for k, c in enumerate(gradings(t), start=1) if len(c) >= 2]
     index = {m: FgAbelianGroup.cyclic(m) for m in {len(c) for _, c in rows}}

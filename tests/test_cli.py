@@ -642,13 +642,16 @@ def test_db_fuzz(tmp_path_factory, lines, group, k):
         assert out and not err
 
 
-def fresh_charvar(*argv, flags=()):
-    """`python [flags] -m charvar.cli argv` in a fresh interpreter."""
-    src = str(pathlib.Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("CHARVAR_DB", None)
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
+
+
+def fresh_charvar(*argv, flags=(), stdout=subprocess.PIPE, env=None):
+    """`python [flags] -m charvar.cli argv` in a fresh interpreter, with `env`
+    (names to values, None to unset one) over this one's environment."""
+    env = {**os.environ, "PYTHONPATH": SRC, "CHARVAR_DB": None, **(env or {})}
     return subprocess.run([sys.executable, *flags, "-m", "charvar.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+                          env={name: value for name, value in env.items() if value is not None})
 
 
 class TestEntryPoint:
@@ -670,13 +673,16 @@ class TestEntryPoint:
 CHAINS = {
     "roots": {"rootsys", "errors"},
     "ci": {"groups", "rootsys", "errors"},
-    "table-levi": {"subalg", "groups", "rootsys", "errors"},
+    "table-levi": {"subalg", "rootsys", "errors"},
     "table-bds": {"subalg", "groups", "rootsys", "errors"},
     "codim": {"bounds", "groups", "rootsys", "errors"},
     "singular-locus": {"bounds", "groups", "rootsys", "errors"},
     "local-model": {"localmodel", "rootsys", "errors"},
     "homotopy": {"homotopy", "bounds", "groups", "rootsys", "errors"},
 }
+# The subcommands whose records hold only plain value classes: they never
+# import `dataclasses`, which loads `inspect`, `ast` and `dis`.
+NO_DATACLASSES = {"roots", "ci", "codim", "singular-locus"}
 # One transcript per subcommand, run in its own process.
 FRESH = ("roots_E8", "ci_T1xA2sc", "table-levi_E7", "table-bds_E8", "codim_T1xA3sc_r3",
          "singular-locus_E8_r1", "local-model_G2_i1_r3", "homotopy_E7ad_r2_k1")
@@ -708,8 +714,86 @@ class TestFreshProcess:
         assert ("json" in loaded, "csv" in loaded) == (fmt == "json", fmt == "csv")
 
     @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", [n for n in FRESH if TRANSCRIPTS[n][0] in NO_DATACLASSES])
+    def test_loads_no_dataclasses(self, name, fmt):
+        assert "dataclasses" not in fresh_transcript(name, fmt)[1]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("name", FRESH)
     def test_transcript(self, name, fmt):
         proc = fresh_transcript(name, fmt)[0]
         assert proc.returncode == 0
         assert proc.stdout == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
+
+
+# What `main` prints when stdout cannot be written, the same as before it
+# left without teardown.  Block-buffered, the error surfaces in the flush at
+# exit; unbuffered (PYTHONUNBUFFERED), in the write.
+UNWRITABLE = {
+    ("pipe", "buffered"): (120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w'"
+                                " encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+    ("full", "buffered"): (120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w'"
+                                " encoding='utf-8'>\nOSError: [Errno 28] No space left on device\n"),
+    ("pipe", "unbuffered"): (1, "error: [Errno 32] Broken pipe\n"),
+    ("full", "unbuffered"): (1, "error: [Errno 28] No space left on device\n"),
+}
+# `main` run under a tracer, a profiler or neither; the normal exit runs atexit.
+EXIT_CHILD = """
+import atexit, sys
+from charvar import cli
+atexit.register(print, "normal exit", file=sys.stderr)
+hook = {"trace": sys.settrace, "profile": sys.setprofile}.get(sys.argv.pop(1))
+if hook:
+    hook(lambda *args: None)
+cli.main()
+"""
+
+
+class TestExit:
+    """`main` flushes and leaves without interpreter teardown, except where
+    the normal exit still has work.  Each case is one fresh process whose
+    stdout is block-buffered, as it is for users, unless the case sets
+    PYTHONUNBUFFERED."""
+
+    @pytest.mark.parametrize("target", ["pipe", "full"])
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("roots", "E8"), id="small"),
+        pytest.param(("table-levi", "C2000", "--format", "json"), id="large"),
+    ])
+    def test_unwritable_stdout(self, target, buffering, argv):
+        env = {"PYTHONIOENCODING": "utf-8",
+               "PYTHONUNBUFFERED": "1" if buffering == "unbuffered" else None}
+        if target == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = fresh_charvar(*argv, stdout=full, env=env)
+        else:
+            read, write = os.pipe()
+            os.close(read)  # a reader that has gone
+            try:
+                proc = fresh_charvar(*argv, stdout=write, env=env)
+            finally:
+                os.close(write)
+        # output larger than the buffer fails in the write, whatever the buffering
+        expected = UNWRITABLE[target, "unbuffered" if argv[0] == "table-levi" else buffering]
+        assert (proc.returncode, proc.stderr) == expected
+
+    @pytest.mark.parametrize("hook", ["none", "trace", "profile"])
+    @pytest.mark.parametrize("argv,code,err", [
+        pytest.param(("roots", "E8"), 0, "", id="answer"),
+        pytest.param(("roots", "B1"), 1, "error: B1 is an alias: use A1\n", id="domain error"),
+        pytest.param(("roots",), 2, "usage: charvar roots [-h] [--format {text,json,csv}] type\n"
+                     "charvar roots: error: the following arguments are required: type\n",
+                     id="usage error"),
+    ])
+    def test_exit_path(self, hook, argv, code, err):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-c", EXIT_CHILD, hook, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code
+        # complete on a block-buffered pipe: the hard exit flushed first
+        assert proc.stdout == ((DATA / "cli" / "roots_E8.txt").read_text() if code == 0 else "")
+        assert proc.stderr == err + ("" if hook == "none" else "normal exit\n")
