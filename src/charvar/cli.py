@@ -253,7 +253,10 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _emit(args.format, *args.func(args.parse(args.subject), args), out)
+        rendered = args.func(args.parse(args.subject), args)
+        if out is None:  # the process started with stdout closed
+            raise CharvarError("stdout is closed")
+        _emit(args.format, *rendered, out)
     except (CharvarError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -1,8 +1,10 @@
 """Homotopy groups of simple and reductive Lie groups and of the good locus.
 
-Exceptional values are shipped as a data table, loaded as one mapping from
-(type, k) to a `Cell`: the group, its source and its line. For k >= 2 pi_k
-does not depend on the isogeny, since G_sc -> G has a finite fibre.
+Exceptional values are shipped as a data table, read as a mapping from
+(type, k) to a `Cell`: the group, its source and its line. The shipped
+table is parsed one type at a time, on that type's first use; a `--db`
+file is read and checked whole. For k >= 2 pi_k does not depend on the
+isogeny, since G_sc -> G has a finite fibre.
 Classical families are answered from Bott's table inside the stable range
 of each family's fibration G_n -> G_{n+1} -> sphere. Everything outside
 that coverage is the Unknown group, never a guess.
@@ -14,7 +16,7 @@ import enum
 import functools
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import bounds
 from .errors import (MAX_DB_CHARS, MAX_FACTORS, MAX_RANK, CharvarError, parse_digits,
@@ -49,17 +51,7 @@ def _parse_group_field(free_text: str, torsion_text: str) -> FgAbelianGroup:
     return FgAbelianGroup.from_torsion(torsion, free_rank=free_rank)
 
 
-def load_database(path) -> HomotopyDatabase:
-    """Parse the flat-text format `type iso k free_rank torsion_csv provenance`.
-
-    Only E6-E8, F4 and G2 are stored: classical types are answered from
-    Bott's table.  `sc`, `ad` and `any` name the same cell: one line per
-    type and k.
-    """
-    cells: HomotopyDatabase = {}
-    # each distinct label and group text is parsed once, on its first line
-    types: dict[str, SimpleType] = {}
-    groups: dict[tuple[str, str], FgAbelianGroup] = {}
+def _read(path) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read(MAX_DB_CHARS + 1)
@@ -67,11 +59,25 @@ def load_database(path) -> HomotopyDatabase:
         raise CharvarError(f"database {path}: {exc}") from None
     if len(text) > MAX_DB_CHARS:
         raise CharvarError(f"database {path}: longer than the ceiling of {MAX_DB_CHARS} characters")
+    return text
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each stripped line that is neither blank nor a comment, with its number."""
     # text mode read \r\n and \r as \n; splitlines() would break a provenance at \x0c, U+2028...
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _parse(lines: Iterable[tuple[int, str]]) -> HomotopyDatabase:
+    """Check and parse numbered lines of the format `load_database` reads."""
+    cells: HomotopyDatabase = {}
+    # each distinct label and group text is parsed once, on its first line
+    types: dict[str, SimpleType] = {}
+    groups: dict[tuple[str, str], FgAbelianGroup] = {}
+    for lineno, line in lines:
         try:
             parts = line.split(None, 5)
             if len(parts) < 5:
@@ -103,9 +109,35 @@ def load_database(path) -> HomotopyDatabase:
     return cells
 
 
+def load_database(path) -> HomotopyDatabase:
+    """Parse the flat-text format `type iso k free_rank torsion_csv provenance`.
+
+    Only E6-E8, F4 and G2 are stored: classical types are answered from
+    Bott's table.  `sc`, `ad` and `any` name the same cell: one line per
+    type and k.  The whole file is read and every line checked.
+    """
+    return _parse(_numbered_lines(_read(path)))
+
+
 @functools.cache
+def _shipped_cells(t: SimpleType) -> HomotopyDatabase:
+    """The shipped table's cells of one type, parsed on its first use.
+
+    Only the lines whose first field is `t`'s label are parsed; they keep
+    their line numbers in the whole file.
+    """
+    label = str(t)
+    text = _read(os.path.join(os.path.dirname(__file__), "data", "pi_exceptional.txt"))
+    return _parse((lineno, line) for lineno, line in _numbered_lines(text)
+                  if line.split(None, 1)[0] == label)
+
+
 def default_database() -> HomotopyDatabase:
-    return load_database(os.path.join(os.path.dirname(__file__), "data", "pi_exceptional.txt"))
+    """The whole shipped table: the cells of E6, E7, E8, F4 and G2."""
+    db: HomotopyDatabase = {}
+    for label in ("E6", "E7", "E8", "F4", "G2"):
+        db.update(_shipped_cells(SimpleType.parse(label)))
+    return db
 
 
 # pi_k of the stable groups U, O and Sp, indexed by k mod 8 (Bott 1959),
@@ -143,7 +175,7 @@ def pi_simple(
             return FgAbelianGroup.trivial()
         return center_group(t)
     if t.family in "EFG":
-        cell = (default_database() if db is None else db).get((t, k))
+        cell = (_shipped_cells(t) if db is None else db).get((t, k))
         return FgAbelianGroup.unknown() if cell is None else cell.group
     # SU(2) = Sp(1) and Spin(5) = Sp(2) are read along the symplectic chain
     n = t.rank

@@ -319,6 +319,14 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: database line 1: ")
 
+    def test_database_is_checked_whole_exit_1(self, tmp_path):
+        # a --db file is read whole: a malformed E8 line fails a G2 query
+        db = tmp_path / "pi.txt"
+        db.write_text("G2 any 6 0 3 x\nG2 any 5 0 - x\nE8 any 7 0 x y\n")
+        code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
+        assert (code, out) == (1, "")
+        assert err == "error: database line 3: invalid literal for int() with base 10: 'x'\n"
+
     def test_duplicate_database_key_exit_1(self, tmp_path):
         db = tmp_path / "pi.txt"
         db.write_text("G2 any 6 0 3 Mimura\nG2 any 6 0 5 typo\n")
@@ -779,6 +787,21 @@ class TestExit:
         # output larger than the buffer fails in the write, whatever the buffering
         expected = UNWRITABLE[target, "unbuffered" if argv[0] == "table-levi" else buffering]
         assert (proc.returncode, proc.stderr) == expected
+
+    @pytest.mark.parametrize("argv,err", [
+        pytest.param(("roots", "E8"), "error: stdout is closed\n", id="answer"),
+        pytest.param(("homotopy", "G2", "-r", "2", "-k", "6", "--format", "json"),
+                     "error: stdout is closed\n", id="json answer"),
+        pytest.param(("roots", "B1"), "error: B1 is an alias: use A1\n", id="domain error"),
+    ])
+    def test_closed_stdout(self, argv, err):
+        # started as `charvar ... >&-`: fd 1 is closed and sys.stdout is None
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("CHARVAR_DB", None)
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                               "charvar.cli", *argv],
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, err)
 
     @pytest.mark.parametrize("hook", ["none", "trace", "profile"])
     @pytest.mark.parametrize("argv,code,err", [

@@ -19,6 +19,7 @@ from charvar import (
     pi_simple,
     stable_range,
 )
+from charvar import homotopy
 from charvar.homotopy import default_database
 
 import golden_tables as g
@@ -31,6 +32,7 @@ ZERO = FgAbelianGroup.trivial()
 NINES = "9" * 4400
 UNKNOWN = FgAbelianGroup.unknown()
 SC, AD = Isogeny.SIMPLY_CONNECTED, Isogeny.ADJOINT
+SHIPPED = resources.files("charvar").joinpath("data/pi_exceptional.txt")
 
 
 class TestPiSimpleLow:
@@ -158,6 +160,34 @@ class TestExceptionalDatabase:
             assert (fields[0], fields[2]) == (str(t), str(k)), cell
             assert fields[5] == cell.source, cell
 
+    def test_each_type_parses_its_own_rows(self):
+        # the shipped table is parsed one type at a time, on first use; each
+        # type's cells (group, source, line) are its rows of the whole file
+        whole = load_database(SHIPPED)
+        for name in g.ALL_EXCEPTIONAL:
+            rows = {key: cell for key, cell in whole.items() if key[0] == T(name)}
+            assert homotopy._shipped_cells(T(name)) == rows, name
+            assert len(rows) == 14, name
+
+    def test_default_database_is_the_whole_file(self):
+        # a shipped line the per-type filter skipped would show here
+        assert default_database() == load_database(SHIPPED)
+
+    def test_per_type_cache_is_cleared_with_the_others(self):
+        # the benchmark clears every module-level cache_clear before an op,
+        # so a cold op pays the parse of its own type
+        found = [value for value in vars(homotopy).values()
+                 if callable(getattr(value, "cache_clear", None))]
+        assert homotopy._shipped_cells in found
+
+    def test_cold_lookup_parses_only_its_type(self):
+        homotopy._shipped_cells.cache_clear()
+        assert pi_simple(T("G2"), SC, 6) == FgAbelianGroup.cyclic(3)
+        homotopy._shipped_cells(T("G2"))
+        info = homotopy._shipped_cells.cache_info()
+        # one entry, parsed once and then found: the G2 entry alone
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
     def test_roundtrip_through_file(self, tmp_path):
         db = default_database()
         path = tmp_path / "pi.txt"
@@ -232,6 +262,14 @@ class TestExceptionalDatabase:
         with pytest.raises(CharvarError) as info:
             load_database(path)
         assert str(info.value) == "database line 2: " + self.MALFORMED[text]
+
+    def test_override_is_checked_whole(self, tmp_path):
+        # a --db file is not read by type: a bad E8 line fails a G2 load
+        path = tmp_path / "pi.txt"
+        path.write_text("G2 any 6 0 3 x\nG2 any 5 0 - x\nE8 any 7 0 x y\n")
+        with pytest.raises(CharvarError) as info:
+            load_database(path)
+        assert str(info.value) == "database line 3: invalid literal for int() with base 10: 'x'"
 
     def test_modulus_ceiling(self, tmp_path):
         # a modulus of any size loads, past 10**9 as below it
