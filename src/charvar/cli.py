@@ -249,14 +249,17 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # a usage error on stderr, or --help on sys.stdout
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()
+            return int(exc.code or 0)
         rendered = args.func(args.parse(args.subject), args)
         if out is None:  # the process started with stdout closed
             raise CharvarError("stdout is closed")
         _emit(args.format, *rendered, out)
+        out.flush()
     except (CharvarError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
@@ -266,22 +269,17 @@ def run(argv, out=None, err=None) -> int:
 def main() -> None:
     """The `charvar` entry point: one call, one process.
 
-    The process ends without interpreter teardown, which frees every object
-    and module for nothing (mypy's `util.hard_exit` does the same), once the
-    output is flushed.  The normal exit is kept where it still has work: a
-    flush that fails (a closed pipe, a full device) is reported by it as
-    before, and a tracer or profiler (coverage, `python -m cProfile`) writes
-    its results in it.
+    `run` has flushed the output, or reported the write or flush that
+    failed (a closed pipe, a full device) as an `error:` line and exit 1,
+    so the process ends at once with `os._exit`, skipping interpreter
+    teardown, which frees every object and module for nothing (mypy's
+    `util.hard_exit` does the same).  Under a tracer or profiler
+    (coverage, `python -m cProfile`) it takes the normal exit, where they
+    write their results.
     """
     code = run(sys.argv[1:])
     if sys.gettrace() is None and sys.getprofile() is None:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except (AttributeError, OSError, ValueError):  # no stream, a failed or closed one
-            pass
-        else:
-            os._exit(code)
+        os._exit(code)
     sys.exit(code)
 
 

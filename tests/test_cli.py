@@ -26,6 +26,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 # Byte-exact transcripts in tests/data/cli/<name>.<ext>, one per format.  They
 # pin every subcommand's output; rewrite them only for an intended change.
+# The text tables of the other exceptional types sit beside them (TestTables).
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 TRANSCRIPTS = {
     "table-levi_A1": ("table-levi", "A1"),
@@ -111,13 +112,13 @@ class TestTables:
     def test_levi_text_transcript(self, name):
         code, out, _ = invoke("table-levi", name)
         assert code == 0
-        assert out == (DATA / f"table_levi_{name}.txt").read_text()
+        assert out == (DATA / "cli" / f"table-levi_{name}.txt").read_text()
 
     @pytest.mark.parametrize("name", g.ALL_EXCEPTIONAL)
     def test_bds_text_transcript(self, name):
         code, out, _ = invoke("table-bds", name)
         assert code == 0
-        assert out == (DATA / f"table_bds_{name}.txt").read_text()
+        assert out == (DATA / "cli" / f"table-bds_{name}.txt").read_text()
 
     def test_levi_json(self):
         code, out, _ = invoke("table-levi", "E7", "--format", "json")
@@ -238,6 +239,20 @@ class TestQueries:
         elapsed = time.perf_counter() - t0
         assert (code, err) == (0, "") and out
         assert elapsed < 1.0, f"{' '.join(argv)} --format {fmt} took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("family", "AD")
+    def test_roots_at_rank_ceiling(self, family):
+        t0 = time.perf_counter()
+        code, out, err = invoke("roots", f"{family}{MAX_RANK}", "--format", "json")
+        elapsed = time.perf_counter() - t0
+        assert (code, err) == (0, "") and json.loads(out)["type"] == f"{family}{MAX_RANK}"
+        assert elapsed < 1.0, f"roots {family}{MAX_RANK} took {elapsed:.2f}s"
+
+
+@functools.cache
+def primes_near_1e9():
+    """2000 distinct primes (base-2 probable primes) just below 10^9."""
+    return [m for m in range(10**9 - 1, 10**9 - 200000, -2) if pow(2, m - 1, m) == 1][:2000]
 
 
 def override_db(path, torsion):
@@ -419,10 +434,8 @@ class TestExitCodes:
     def test_many_large_moduli_refused_before_factorising(self, tmp_path):
         # 2000 distinct primes near 10^9 multiply past the bit ceiling; their
         # lcm is checked before any coprime base is built
-        primes = [m for m in range(10**9 - 1, 10**9 - 200000, -2)
-                  if pow(2, m - 1, m) == 1][:2000]
         db = tmp_path / "pi.txt"
-        db.write_text(f"G2 any 6 0 {','.join(map(str, primes))} x\nG2 any 5 0 - x\n")
+        db.write_text(f"G2 any 6 0 {','.join(map(str, primes_near_1e9()))} x\nG2 any 5 0 - x\n")
         t0 = time.perf_counter()
         code, out, err = invoke("homotopy", "G2", "-r", "2", "-k", "6", "--db", str(db))
         elapsed = time.perf_counter() - t0
@@ -471,6 +484,7 @@ class TestExitCodes:
                      ("homotopy", f"T^{NINES}", "-r", "10", "-k", "1"),
                      ("codim", f"T^{NINES}", "-r", "10"),
                      ("singular-locus", "E8", "-r", str(MAX_FREE_RANK + 1)),
+                     ("codim", "A1", "-r", str(MAX_FREE_RANK + 1)),
                      ("codim", "A1", "-r", NINES),
                      ("local-model", "A3", "-i", "1", "-r", NINES)]:
             code, out, err = invoke(*argv)
@@ -655,11 +669,34 @@ SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 def fresh_charvar(*argv, flags=(), stdout=subprocess.PIPE, env=None):
     """`python [flags] -m charvar.cli argv` in a fresh interpreter, with `env`
-    (names to values, None to unset one) over this one's environment."""
+    (names to values, None to unset one) over this one's environment;
+    `stdout=None` starts it with stdout closed, as `charvar argv >&-`."""
     env = {**os.environ, "PYTHONPATH": SRC, "CHARVAR_DB": None, **(env or {})}
-    return subprocess.run([sys.executable, *flags, "-m", "charvar.cli", *argv],
+    closed = ("sh", "-c", 'exec "$@" >&-', "sh") if stdout is None else ()
+    return subprocess.run([*closed, sys.executable, *flags, "-m", "charvar.cli", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
                           env={name: value for name, value in env.items() if value is not None})
+
+
+# Inputs past each ceiling.  A `--db` value is the file's text, or a function
+# that builds it; the endless `--db /dev/zero` is read in process under
+# `memory_cap` (TestExitCodes.test_database_length_ceiling_exit_1).
+PAST_CEILINGS = {
+    "rank": ("roots", f"A{MAX_RANK + 1}"),
+    "torus_rank": ("codim", f"T^{MAX_RANK + 1}", "-r", "2"),
+    "long_torus_homotopy": ("homotopy", f"T^{NINES}", "-r", "10", "-k", "1"),
+    "long_torus_codim": ("codim", f"T^{NINES}", "-r", "10"),
+    "free_rank": ("codim", "A1", "-r", str(MAX_FREE_RANK + 1)),
+    "long_free_rank": ("codim", "A1", "-r", NINES),
+    "M": ("local-model", "A3", "-i", "1", "-r", str(10**11)),
+    "long_M": ("local-model", "A3", "-i", "1", "-r", NINES),
+    "factors": ("homotopy", "A1[ad]", "-r", str(10**8), "-k", "1"),
+    "db_free_rank": ("homotopy", "G2", "-r", "100", "-k", "6",
+                     "--db", f"G2 any 6 {NINES[1:]} - x\nG2 any 5 0 - x\n"),
+    "db_classical": ("homotopy", "A2", "-r", "3", "-k", "6", "--db", "A2 any 6 0 6 x\n"),
+    "db_factor_bits": ("homotopy", "G2", "-r", "2", "-k", "6",
+                       "--db", lambda: f"G2 any 6 0 {','.join(map(str, primes_near_1e9()))} x\n"),
+}
 
 
 class TestEntryPoint:
@@ -674,6 +711,17 @@ class TestEntryPoint:
         proc = fresh_charvar("table-levi", "B1")
         assert proc.returncode == 1 and not proc.stdout
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("name", PAST_CEILINGS)
+    def test_past_ceiling(self, tmp_path, name):
+        argv = list(PAST_CEILINGS[name])
+        if "--db" in argv:
+            db, text = tmp_path / "pi.txt", argv[-1]
+            db.write_text(text() if callable(text) else text)
+            argv[-1] = str(db)
+        proc = fresh_charvar(*argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # The charvar modules each subcommand loads in a fresh process (beside the
@@ -734,16 +782,11 @@ class TestFreshProcess:
         assert proc.stdout == (DATA / "cli" / f"{name}.{FORMATS[fmt]}").read_text()
 
 
-# What `main` prints when stdout cannot be written, the same as before it
-# left without teardown.  Block-buffered, the error surfaces in the flush at
-# exit; unbuffered (PYTHONUNBUFFERED), in the write.
+# What `main` prints when stdout cannot be written: `run` writes and flushes
+# in one `try`, so the failure is one `error:` line, whatever the buffering.
 UNWRITABLE = {
-    ("pipe", "buffered"): (120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w'"
-                                " encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
-    ("full", "buffered"): (120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w'"
-                                " encoding='utf-8'>\nOSError: [Errno 28] No space left on device\n"),
-    ("pipe", "unbuffered"): (1, "error: [Errno 32] Broken pipe\n"),
-    ("full", "unbuffered"): (1, "error: [Errno 28] No space left on device\n"),
+    "pipe": "error: [Errno 32] Broken pipe\n",
+    "full": "error: [Errno 28] No space left on device\n",
 }
 # `main` run under a tracer, a profiler or neither; the normal exit runs atexit.
 EXIT_CHILD = """
@@ -758,10 +801,9 @@ cli.main()
 
 
 class TestExit:
-    """`main` flushes and leaves without interpreter teardown, except where
-    the normal exit still has work.  Each case is one fresh process whose
-    stdout is block-buffered, as it is for users, unless the case sets
-    PYTHONUNBUFFERED."""
+    """`main` leaves without interpreter teardown, except under a tracer or
+    profiler.  Each case is one fresh process whose stdout is block-buffered,
+    as it is for users, unless the case sets PYTHONUNBUFFERED."""
 
     @pytest.mark.parametrize("target", ["pipe", "full"])
     @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
@@ -770,8 +812,7 @@ class TestExit:
         pytest.param(("table-levi", "C2000", "--format", "json"), id="large"),
     ])
     def test_unwritable_stdout(self, target, buffering, argv):
-        env = {"PYTHONIOENCODING": "utf-8",
-               "PYTHONUNBUFFERED": "1" if buffering == "unbuffered" else None}
+        env = {"PYTHONUNBUFFERED": "1" if buffering == "unbuffered" else None}
         if target == "full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
@@ -784,9 +825,7 @@ class TestExit:
                 proc = fresh_charvar(*argv, stdout=write, env=env)
             finally:
                 os.close(write)
-        # output larger than the buffer fails in the write, whatever the buffering
-        expected = UNWRITABLE[target, "unbuffered" if argv[0] == "table-levi" else buffering]
-        assert (proc.returncode, proc.stderr) == expected
+        assert (proc.returncode, proc.stderr) == (1, UNWRITABLE[target])
 
     @pytest.mark.parametrize("argv,err", [
         pytest.param(("roots", "E8"), "error: stdout is closed\n", id="answer"),
@@ -795,13 +834,22 @@ class TestExit:
         pytest.param(("roots", "B1"), "error: B1 is an alias: use A1\n", id="domain error"),
     ])
     def test_closed_stdout(self, argv, err):
-        # started as `charvar ... >&-`: fd 1 is closed and sys.stdout is None
-        env = {**os.environ, "PYTHONPATH": SRC}
-        env.pop("CHARVAR_DB", None)
-        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
-                               "charvar.cli", *argv],
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        # fd 1 is closed, so sys.stdout is None
+        proc = fresh_charvar(*argv, stdout=None)
         assert (proc.returncode, proc.stderr) == (1, err)
+
+    @pytest.mark.parametrize("stdout", ["pipe", "closed"])
+    def test_help(self, monkeypatch, stdout):
+        # argparse prints --help to sys.stdout, or to stderr when that is None
+        monkeypatch.setenv("COLUMNS", "80")
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert run(["roots", "--help"]) == 0
+        proc = fresh_charvar("roots", "--help",
+                             stdout=None if stdout == "closed" else subprocess.PIPE,
+                             env={"COLUMNS": "80", "PYTHONUNBUFFERED": None})
+        expected = (None, text.getvalue()) if stdout == "closed" else (text.getvalue(), "")
+        assert text.getvalue().startswith("usage: charvar roots ")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, *expected)
 
     @pytest.mark.parametrize("hook", ["none", "trace", "profile"])
     @pytest.mark.parametrize("argv,code,err", [
