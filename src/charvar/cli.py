@@ -261,7 +261,11 @@ def run(argv, out=None, err=None) -> int:
         _emit(args.format, *rendered, out)
         out.flush()
     except (CharvarError, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        if err is not None:  # None when started with stderr closed
+            try:
+                print(f"error: {exc}", file=err, flush=True)
+            except OSError:  # stderr is unwritable too: the exit code alone reports it
+                pass
         return 1
     return 0
 
@@ -271,7 +275,8 @@ def main() -> None:
 
     `run` has flushed the output, or reported the write or flush that
     failed (a closed pipe, a full device) as an `error:` line and exit 1,
-    so the process ends at once with `os._exit`, skipping interpreter
+    by the exit code alone where stderr is closed or unwritable too, so
+    the process ends at once with `os._exit`, skipping interpreter
     teardown, which frees every object and module for nothing (mypy's
     `util.hard_exit` does the same).  Under a tracer or profiler
     (coverage, `python -m cProfile`) it takes the normal exit, where they

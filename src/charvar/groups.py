@@ -151,8 +151,10 @@ class FgAbelianGroup(Frozen):
     refine the summands' keys into one base by gcds alone.  `invariant_factors`
     (d_1 | d_2 | ...) is derived from the counts only where the primary form
     changes: a sum with at most one torsion summand keeps that summand's
-    factors and form and adds the free ranks.  A group built from its
-    fields (the constructor, `cyclic`) derives its primary form on first use.
+    factors and form and adds the free ranks.  `from_torsion` keeps moduli
+    that are already invariant factors as given.  A group built from its
+    fields (the constructor, `cyclic`) or from such a chain of two or more
+    factors derives its primary form on first use.
     ``known=False`` is the Unknown marker; it absorbs direct sums.
     """
 
@@ -212,8 +214,29 @@ class FgAbelianGroup(Frozen):
 
     @classmethod
     def from_torsion(cls, moduli, free_rank: int = 0) -> "FgAbelianGroup":
-        """Normalize an arbitrary list of cyclic orders to invariant factors."""
-        return cls._from_primary(free_rank, _primary_of(tuple(moduli)))
+        """Z^free_rank plus the sum of Z_m over `moduli`, any cyclic orders.
+
+        Moduli already in invariant-factor form, each >= 2 and dividing the
+        next (as the shipped table writes them), are kept as given: each is
+        checked against MAX_FACTOR_BITS in order, with the wording of the
+        lcm check, and one modulus m is its own primary form {m: {1: 1}}.
+        Any other list (an order <= 0, a 1, a non-chain) is normalised by
+        `_primary_of`, which reports its errors in the same order.
+        """
+        moduli = tuple(moduli)
+        # invariant factors: the first >= 2, and each divides the next, so is no smaller
+        if (moduli and moduli[0] < 2
+                or not all(a <= b and b % a == 0 for a, b in zip(moduli, moduli[1:]))):
+            return cls._from_primary(free_rank, _primary_of(moduli))
+        for m in moduli:
+            _check_factor_bits(m, "at least ")
+        if free_rank < 0:
+            raise CharvarError("negative free rank")
+        group = cls.__new__(cls)
+        vars(group).update(free_rank=free_rank, known=True, invariant_factors=moduli)
+        if len(moduli) < 2:  # a longer chain derives its primary form on first use
+            group.__dict__["_primary"] = {m: {1: 1} for m in moduli}
+        return group
 
     def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
         """The direct sum of this group and any number of others."""

@@ -62,13 +62,15 @@ def _read(path) -> str:
     return text
 
 
-def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each stripped line that is neither blank nor a comment, with its number."""
+def _numbered_lines(text: str, needle: str = "") -> Iterator[tuple[int, str]]:
+    """Each stripped line that holds `needle` and is neither blank nor a
+    comment, with its number."""
     # text mode read \r\n and \r as \n; splitlines() would break a provenance at \x0c, U+2028...
     for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+        if needle in line:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
 
 
 def _parse(lines: Iterable[tuple[int, str]]) -> HomotopyDatabase:
@@ -119,16 +121,20 @@ def load_database(path) -> HomotopyDatabase:
     return _parse(_numbered_lines(_read(path)))
 
 
+_SHIPPED = os.path.join(os.path.dirname(__file__), "data", "pi_exceptional.txt")
+
+
 @functools.cache
 def _shipped_cells(t: SimpleType) -> HomotopyDatabase:
     """The shipped table's cells of one type, parsed on its first use.
 
-    Only the lines whose first field is `t`'s label are parsed; they keep
-    their line numbers in the whole file.
+    Only the lines whose first field is `t`'s label are parsed, and every
+    one of them is checked; they keep their line numbers in the whole file.
+    A line is stripped and split only once it holds the label, which such a
+    line does.
     """
     label = str(t)
-    text = _read(os.path.join(os.path.dirname(__file__), "data", "pi_exceptional.txt"))
-    return _parse((lineno, line) for lineno, line in _numbered_lines(text)
+    return _parse((lineno, line) for lineno, line in _numbered_lines(_read(_SHIPPED), label)
                   if line.split(None, 1)[0] == label)
 
 

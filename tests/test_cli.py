@@ -800,6 +800,16 @@ cli.main()
 """
 
 
+# `main` with stderr redirected by the shell; an exception that escaped
+# `main` would be reported on stdout, where the test can see it.
+STDERR_CHILD = """
+import sys
+from charvar import cli
+sys.excepthook = lambda kind, value, tb: print("uncaught", kind.__name__, flush=True)
+cli.main()
+"""
+
+
 class TestExit:
     """`main` leaves without interpreter teardown, except under a tracer or
     profiler.  Each case is one fresh process whose stdout is block-buffered,
@@ -837,6 +847,22 @@ class TestExit:
         # fd 1 is closed, so sys.stdout is None
         proc = fresh_charvar(*argv, stdout=None)
         assert (proc.returncode, proc.stderr) == (1, err)
+
+    @pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"])
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_unwritable_stderr(self, redirect, buffering):
+        # the error line cannot be written either: exit 1 says it alone
+        if redirect == "2>/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("PYTHONUNBUFFERED", None)
+        env.pop("CHARVAR_DB", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable,
+                               "-c", STDERR_CHILD, "roots", "B1"],
+                              stdout=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
 
     @pytest.mark.parametrize("stdout", ["pipe", "closed"])
     def test_help(self, monkeypatch, stdout):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import time
 
 import pytest
@@ -42,6 +43,10 @@ base_modulus = st.one_of(
               st.sampled_from(NEAR_BILLION + [1]), st.sampled_from([1, 2, 6, 12, 18])),
     st.builds(pow, st.sampled_from([2, 3, 6, 12, 18]), st.integers(min_value=2, max_value=600)),
 )
+# invariant factors as the shipped table writes them: each >= 2, dividing the next
+chains = st.builds(lambda first, steps: list(itertools.accumulate([first, *steps], operator.mul)),
+                   st.integers(min_value=2, max_value=10**3),
+                   st.lists(st.integers(min_value=1, max_value=12), max_size=6))
 fga = st.builds(lambda tors, free: FgAbelianGroup.from_torsion(tors, free_rank=free),
                 small_torsion, st.integers(min_value=0, max_value=3))
 
@@ -93,6 +98,8 @@ class TestFgAbelianGroup:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_cyclic_matches_from_torsion(self, m):
         assert FgAbelianGroup.cyclic(m) == FgAbelianGroup.from_torsion([m])
+        # one modulus is its own primary form, stored as the normalising path builds it
+        assert FgAbelianGroup.from_torsion([m])._primary_form() == groups._primary_of((m,))
 
     def test_cyclic_rejects_nonpositive_order(self):
         for m in (0, -3):
@@ -126,11 +133,42 @@ class TestFgAbelianGroup:
         assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
         assert a.direct_sum(b, c) == a.direct_sum(b).direct_sum(c)
 
-    @given(moduli, st.integers(min_value=0, max_value=3))
+    @given(st.one_of(moduli, chains), st.integers(min_value=0, max_value=3))
     def test_from_torsion_matches_smith_normal_form(self, ms, free):
         a = FgAbelianGroup.from_torsion(ms, free_rank=free)
         assert a.invariant_factors == snf_factors(ms) == slot_fill(ms)
         assert a.free_rank == free and a.known
+
+    def test_chain_is_kept_as_given(self, monkeypatch):
+        def refused(moduli):
+            raise AssertionError(f"invariant factors {moduli} were normalised")
+
+        monkeypatch.setattr(groups, "_primary_of", refused)
+        chain = [2, 2, 168]
+        a = FgAbelianGroup.from_torsion(chain, free_rank=1)
+        assert (a.free_rank, a.invariant_factors) == (1, (2, 2, 168))
+        assert FgAbelianGroup.from_torsion([7])._primary_form() == {7: {1: 1}}
+        assert FgAbelianGroup.from_torsion([]).is_trivial()
+
+    @pytest.mark.parametrize("ms,error", [
+        ([2, 0], "invalid cyclic order 0"),
+        ([2, -4], "invalid cyclic order -4"),
+        ([0], "invalid cyclic order 0"),
+        ([2, 4, -8], "invalid cyclic order -8"),
+    ])
+    def test_nonpositive_order_after_a_chain(self, ms, error):
+        # b % a == 0 holds for b = 0 and b = -4: such lists take the normalising path
+        with pytest.raises(CharvarError, match=f"^{error}$"):
+            FgAbelianGroup.from_torsion(ms)
+
+    def test_chain_past_the_ceiling_reports_its_first_factor_above(self):
+        # 2^13999 has 14000 bits; 2^14000 has 14001 and is reported, not 2^14100
+        chain = [2, 2**13999, 2**14000, 2**14100]
+        with pytest.raises(CharvarError, match="^an invariant factor of at least 14001 bits"
+                                               " is above the ceiling of 14000 bits$"):
+            FgAbelianGroup.from_torsion(chain)
+        with pytest.raises(CharvarError, match="^an invariant factor of at least 14001 bits"):
+            FgAbelianGroup.from_torsion(chain, free_rank=-1)  # before the free rank
 
     def test_from_torsion_near_linear(self):
         start = time.perf_counter()

@@ -169,6 +169,17 @@ class TestExceptionalDatabase:
             assert homotopy._shipped_cells(T(name)) == rows, name
             assert len(rows) == 14, name
 
+    def test_shipped_torsion_is_invariant_factors(self):
+        # the header promises invariant factors, so every shipped row keeps
+        # its factors as written and is never normalised
+        rows = [line.split(None, 5) for line in SHIPPED.read_text().split("\n")
+                if line.strip() and not line.lstrip().startswith("#")]
+        torsion = [[int(m) for m in fields[4].split(",")] for fields in rows
+                   if fields[4] not in ("-", "?")]
+        assert len(rows) == 70 and torsion
+        for chain in torsion:
+            assert min(chain) >= 2 and all(b % a == 0 for a, b in zip(chain, chain[1:])), chain
+
     def test_default_database_is_the_whole_file(self):
         # a shipped line the per-type filter skipped would show here
         assert default_database() == load_database(SHIPPED)
