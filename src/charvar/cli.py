@@ -280,11 +280,21 @@ def main() -> None:
     teardown, which frees every object and module for nothing (mypy's
     `util.hard_exit` does the same).  Under a tracer or profiler
     (coverage, `python -m cProfile`) it takes the normal exit, where they
-    write their results.
+    write their results.  An `error:` line that stderr refused stays in
+    its buffer, and the normal exit's flush would fail on it again and
+    exit 120, so stderr is closed first, which drops it.
     """
     code = run(sys.argv[1:])
     if sys.gettrace() is None and sys.getprofile() is None:
         os._exit(code)
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            try:
+                sys.stderr.close()  # closes even when its own flush fails
+            except OSError:
+                pass
     sys.exit(code)
 
 

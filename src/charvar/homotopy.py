@@ -62,15 +62,13 @@ def _read(path) -> str:
     return text
 
 
-def _numbered_lines(text: str, needle: str = "") -> Iterator[tuple[int, str]]:
-    """Each stripped line that holds `needle` and is neither blank nor a
-    comment, with its number."""
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each stripped line that is neither blank nor a comment, with its number."""
     # text mode read \r\n and \r as \n; splitlines() would break a provenance at \x0c, U+2028...
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if needle in line:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _parse(lines: Iterable[tuple[int, str]]) -> HomotopyDatabase:
@@ -134,8 +132,9 @@ def _shipped_cells(t: SimpleType) -> HomotopyDatabase:
     line does.
     """
     label = str(t)
-    return _parse((lineno, line) for lineno, line in _numbered_lines(_read(_SHIPPED), label)
-                  if line.split(None, 1)[0] == label)
+    return _parse((lineno, line.strip())
+                  for lineno, line in enumerate(_read(_SHIPPED).split("\n"), start=1)
+                  if label in line and line.split(None, 1)[0] == label)
 
 
 def default_database() -> HomotopyDatabase:

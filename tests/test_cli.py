@@ -800,12 +800,16 @@ cli.main()
 """
 
 
-# `main` with stderr redirected by the shell; an exception that escaped
-# `main` would be reported on stdout, where the test can see it.
+# `main` with stderr redirected by the shell, and a tracer or profiler if
+# named; an exception that escaped `main` would be reported on stdout,
+# where the test can see it.
 STDERR_CHILD = """
 import sys
 from charvar import cli
 sys.excepthook = lambda kind, value, tb: print("uncaught", kind.__name__, flush=True)
+hook = {"trace": sys.settrace, "profile": sys.setprofile}.get(sys.argv.pop(1))
+if hook:
+    hook(lambda *args: None)
 cli.main()
 """
 
@@ -848,10 +852,12 @@ class TestExit:
         proc = fresh_charvar(*argv, stdout=None)
         assert (proc.returncode, proc.stderr) == (1, err)
 
+    @pytest.mark.parametrize("hook", ["none", "trace", "profile"])
     @pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"])
     @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
-    def test_unwritable_stderr(self, redirect, buffering):
-        # the error line cannot be written either: exit 1 says it alone
+    def test_unwritable_stderr(self, redirect, buffering, hook):
+        # the error line cannot be written either: exit 1 says it alone,
+        # also on the normal exit taken under a tracer or profiler
         if redirect == "2>/dev/full" and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         env = {**os.environ, "PYTHONPATH": SRC}
@@ -860,7 +866,7 @@ class TestExit:
         if buffering == "unbuffered":
             env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable,
-                               "-c", STDERR_CHILD, "roots", "B1"],
+                               "-c", STDERR_CHILD, hook, "roots", "B1"],
                               stdout=subprocess.PIPE, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (1, "")
 

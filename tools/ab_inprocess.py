@@ -16,7 +16,7 @@ runs first alternates from round to round, so drift hits both alike.
 `cli` ops run in process through `cli.run`, which does not see process
 start: `bench/run.py` measures that.
 
-One JSON object goes to stdout (or `--out`): per-op and per-round medians
+One JSON object goes to stdout: per-op and per-round medians
 and quartiles in microseconds, how many rounds the working tree won, and
 a two-sided sign-test p-value.  A wrong answer or an exception on either
 side stops the run with exit 1.  This is a tool for evidence files; it is
@@ -74,6 +74,7 @@ def unpack_parent(sha: str, into: Path) -> Path:
 
 def caches_of(name: str) -> list:
     """Every functools cache bound at module level in package `name`."""
+    # mirrors bench/run.py:find_caches, the benchmark's cold-cache rule; keep the two in step
     caches = {}
     for module_name, module in list(sys.modules.items()):
         if module_name == name or module_name.startswith(name + "."):
@@ -144,7 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--check-every", type=int, default=1, metavar="N",
                         help="check the answers of every Nth round (the warm-up always)")
-    parser.add_argument("--out", help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
@@ -191,11 +191,7 @@ def main(argv=None) -> int:
         "round": compare(*per_round),
         "ops": {name: compare(p, c) for name, p, c in zip(names, parent.times, change.times)},
     }
-    text = json.dumps(report, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(report, indent=1))
     return 0
 
 
